@@ -140,7 +140,8 @@ else
 fi
 
 # Kernel benchmark: the fused path must be at least 2x faster in simulated
-# time on recursive TC, with byte-identical outputs on every workload.
+# time on recursive TC and at least 1.3x on SG (whose 3-way rule must
+# compile to a probe chain), with byte-identical outputs on every workload.
 dune exec bench/main.exe -- --only kernel >/dev/null
 cat >"$tmp/validate_bench_kernel.py" <<'EOF'
 import json, sys
@@ -153,8 +154,12 @@ tc = ws["tc"]
 assert tc["compiled_rules"] > 0, "TC recursive rule did not compile"
 assert tc["ratio"] >= 2.0, \
     "kernels under 2x on recursive TC: %.2fx" % tc["ratio"]
-print("BENCH_kernel OK: tc %.1fx with %d compiled rules, %d workloads identical"
-      % (tc["ratio"], tc["compiled_rules"], len(b["workloads"])))
+sg = ws["sg"]
+assert sg["compiled_rules"] >= 1, "SG recursive rule did not compile"
+assert sg["ratio"] >= 1.3, \
+    "kernels under 1.3x on recursive SG: %.2fx" % sg["ratio"]
+print("BENCH_kernel OK: tc %.1fx, sg %.1fx, %d workloads identical"
+      % (tc["ratio"], sg["ratio"], len(b["workloads"])))
 EOF
 if command -v python3 >/dev/null 2>&1; then
   python3 "$tmp/validate_bench_kernel.py" BENCH_kernel.json

@@ -6,11 +6,11 @@
     join→project→dedup into one closure and skip both. This experiment runs
     the same recursive workloads with [compiled_kernels] on and off (PBME
     held off, so the relational path under test actually executes) on fresh
-    pools and compares {e simulated} runtimes. TC's delta plan is exactly
-    the fused binary shape, so its speedup is the headline number; SG's
-    recursive rule is a three-way join outside the monomorphized shapes, so
-    it documents the fallback ladder: zero compiled rules, ratio ≈ 1, same
-    answer. Outputs must be byte-identical on both sides of every row.
+    pools and compares {e simulated} runtimes. TC's delta plan is a probe
+    chain of length 1, so its speedup is the headline number; SG's
+    recursive rule is a three-way join with the Δ-atom in the middle, a
+    chain of length 2 that probes both [arc] occurrences from the Δ-scan.
+    Outputs must be byte-identical on both sides of every row.
     Results land in [BENCH_kernel.json]. *)
 
 module Interpreter = Recstep.Interpreter
@@ -42,7 +42,11 @@ let dag ~seed ~n ~deg =
   done;
   Relation.of_rows ~name:"arc" 2 !rows
 
+(* Each side starts from a compacted heap, so a major collection of the
+   previous side's garbage does not land inside this side's few
+   milliseconds of simulated time. *)
 let run_side ~kernels program arc =
+  Gc.compact ();
   let pool = Pool.create ~workers:8 () in
   Pool.begin_run pool;
   let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in

@@ -473,7 +473,11 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
   let eval_kernels plans ks ~name ~arity =
     let dd = Dedup.create ~expected:(dedup_expected plans) dedup_mode arity in
     let out = Relation.create ~name:(name ^ "@cand") arity in
-    match List.iter (fun k -> ignore (Kernel.run exec k ~dedup:dd ~out)) ks with
+    (* the filled table is charged like the interpreted dedup pass's table *)
+    match
+      List.iter (fun k -> ignore (Kernel.run exec k ~dedup:dd ~out)) ks;
+      Dedup.account dd
+    with
     | () ->
         Dedup.release dd;
         Relation.account out;

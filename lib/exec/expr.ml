@@ -33,14 +33,18 @@ let rec cols = function
 
 let pred_cols (Cmp (_, a, b)) = cols a @ cols b
 
-let rec shift k = function
-  | Col c -> Col (c + k)
+let rec map_cols f = function
+  | Col c -> Col (f c)
   | Const x -> Const x
-  | Add (a, b) -> Add (shift k a, shift k b)
-  | Sub (a, b) -> Sub (shift k a, shift k b)
-  | Mul (a, b) -> Mul (shift k a, shift k b)
+  | Add (a, b) -> Add (map_cols f a, map_cols f b)
+  | Sub (a, b) -> Sub (map_cols f a, map_cols f b)
+  | Mul (a, b) -> Mul (map_cols f a, map_cols f b)
 
-let shift_pred k (Cmp (op, a, b)) = Cmp (op, shift k a, shift k b)
+let map_pred_cols f (Cmp (op, a, b)) = Cmp (op, map_cols f a, map_cols f b)
+
+let shift k = map_cols (fun c -> c + k)
+
+let shift_pred k = map_pred_cols (fun c -> c + k)
 
 let rec to_string = function
   | Col c -> Printf.sprintf "$%d" c

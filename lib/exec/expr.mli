@@ -25,6 +25,11 @@ val cols : t -> int list
 
 val pred_cols : pred -> int list
 
+val map_cols : (int -> int) -> t -> t
+(** [map_cols f e] renames every column [c] of [e] to [f c]. *)
+
+val map_pred_cols : (int -> int) -> pred -> pred
+
 val shift : int -> t -> t
 (** [shift k e] adds [k] to every column index (for re-basing expressions
     onto a concatenated join schema). *)

@@ -3,6 +3,7 @@ module Dedup = Rs_relation.Dedup
 module Pool = Rs_parallel.Pool
 module Fault = Rs_chaos.Fault
 module Inject = Rs_chaos.Inject
+module Union_find = Rs_util.Union_find
 
 exception Degraded of string
 
@@ -11,203 +12,201 @@ let () =
     | Degraded point -> Some (Printf.sprintf "Rs_exec.Kernel.Degraded(%s)" point)
     | _ -> None)
 
-(* A scan side reduced to its table plus the filters sitting on it; the
-   predicates use the table's local column frame. *)
-type probe_side = { p_name : string; p_preds : Expr.pred list }
+(* One body atom: its table and its slice [off, off + width) of the
+   combined column frame. *)
+type atom = { name : string; off : int; width : int }
 
-type binary = {
-  b_probe : probe_side;  (* the Δ-side, scanned row by row *)
-  b_build_name : string;  (* the indexed side *)
-  b_probe_keys : int array;
-  b_build_keys : int array;
-  b_extra : Expr.pred list;  (* over the combined l++r frame *)
-  b_la : int;  (* left arity of the combined frame *)
-  b_probe_is_left : bool;
-}
+(* One link of the chain. Stage 0 scans the Δ-table; stage s > 0 probes its
+   atom's index on the local columns [keys] with the values of the bound
+   frame columns [srcs]. [preds] need exactly the stages up to this one. *)
+type stage = { atom : atom; keys : int array; srcs : int array; preds : Expr.pred list }
 
-type shape = Binary of binary | Unary of probe_side
+type t = { stages : stage array; stage_of : int array; out : Expr.t array }
 
-type t = { shape : shape; out : Expr.t array; arity : int }
+exception Refuse of string
 
-let arity k = k.arity
+let refusal = function
+  | Plan.AntiJoin _ -> "negation"
+  | Plan.Aggregate _ -> "aggregate"
+  | _ -> "shape"
 
-(* Collapse Filter* over a Scan; anything deeper is not kernel-shaped. *)
-let rec flatten_scan preds = function
-  | Plan.Scan name -> Some (name, preds)
-  | Plan.Filter (ps, src) -> flatten_scan (preds @ ps) src
-  | _ -> None
+(* Flatten a tree of filtered scans and projection-free joins (the
+   planner's left-deep [join2] chain) rooted at frame column [off] into its
+   atoms, its join equalities and its predicates, all over one frame. *)
+let rec flatten arity_of off = function
+  | Plan.Scan name -> ([ { name; off; width = arity_of name } ], [], [])
+  | Plan.Filter (ps, src) ->
+      let atoms, eqs, preds = flatten arity_of off src in
+      (atoms, eqs, List.map (Expr.shift_pred off) ps @ preds)
+  | Plan.Join { l; r; lkeys; rkeys; extra; out = None } ->
+      let la, leqs, lpreds = flatten arity_of off l in
+      let roff = List.fold_left (fun o a -> o + a.width) off la in
+      let ra, reqs, rpreds = flatten arity_of roff r in
+      let eqs = List.combine (Array.to_list lkeys) (Array.to_list rkeys) in
+      ( la @ ra,
+        List.map (fun (lk, rk) -> (off + lk, roff + rk)) eqs @ leqs @ reqs,
+        List.map (Expr.shift_pred off) extra @ lpreds @ rpreds )
+  | p -> raise (Refuse (refusal p))
 
 let compile_shape (ex : Executor.t) ~probe_table plan =
-  let table_arity name = Relation.arity (Catalog.rel ex.catalog name) in
-  match plan with
-  | Plan.Project (out, src) -> (
-      match flatten_scan [] src with
-      | Some (name, preds) when name = probe_table ->
-          Ok { shape = Unary { p_name = name; p_preds = preds }; out; arity = Array.length out }
-      | Some _ -> Error "probe"
-      | None -> Error "shape")
-  | Plan.Join { l; r; lkeys; rkeys; extra; out = Some out } -> (
-      match (flatten_scan [] l, flatten_scan [] r) with
-      | Some (lname, lpreds), Some (rname, rpreds) -> (
-          if Array.length lkeys = 0 then Error "cross"
-          else
-            match (lname = probe_table, rname = probe_table) with
-            | true, true | false, false -> Error "probe"
-            | probe_is_left, _ ->
-                let la = table_arity lname in
-                let probe, probe_keys, build_name, build_keys, build_preds =
-                  if probe_is_left then
-                    (* build side is the right table: lift its local filters
-                       into the combined frame *)
-                    ( { p_name = lname; p_preds = lpreds },
-                      lkeys,
-                      rname,
-                      rkeys,
-                      List.map (Expr.shift_pred la) rpreds )
-                  else
-                    ({ p_name = rname; p_preds = rpreds }, rkeys, lname, lkeys, lpreds)
-                in
-                Ok
-                  {
-                    shape =
-                      Binary
-                        {
-                          b_probe = probe;
-                          b_build_name = build_name;
-                          b_probe_keys = probe_keys;
-                          b_build_keys = build_keys;
-                          b_extra = build_preds @ extra;
-                          b_la = la;
-                          b_probe_is_left = probe_is_left;
-                        };
-                    out;
-                    arity = Array.length out;
-                  })
-      | _ -> Error "shape")
-  | Plan.Join { out = None; _ } -> Error "shape"
-  | Plan.AntiJoin _ -> Error "negation"
-  | Plan.Aggregate _ -> Error "aggregate"
-  | _ -> Error "shape"
+  let body, out =
+    match plan with
+    | Plan.Project (out, src) -> (src, out)
+    | Plan.Join ({ out = Some out; _ } as j) -> (Plan.Join { j with out = None }, out)
+    | p -> raise (Refuse (refusal p))
+  in
+  let atoms, eqs, preds =
+    flatten (fun name -> Relation.arity (Catalog.rel ex.catalog name)) 0 body
+  in
+  let width = List.fold_left (fun w a -> w + a.width) 0 atoms in
+  (* Columns equated by the joins, transitively, form one class; a class is
+     bound by its first column in chain order ([src]), and every later
+     member is checked against that column. *)
+  let uf = Union_find.create width in
+  List.iter (fun (a, b) -> Union_find.union uf a b) eqs;
+  let src = Array.make width (-1) and stage_of = Array.make width 0 in
+  let bound c = src.(Union_find.find uf c) >= 0 in
+  let cols a = List.init a.width (fun i -> a.off + i) in
+  let same_class = ref [] in
+  let bind s a =
+    List.iter (fun c -> stage_of.(c) <- s) (cols a);
+    let links =
+      List.filter_map
+        (fun c ->
+          let k = Union_find.find uf c in
+          if src.(k) < 0 then (src.(k) <- c; None)
+          else if stage_of.(src.(k)) < s then Some (c - a.off, src.(k))
+          else begin
+            same_class := Expr.Cmp (Expr.Eq, Expr.Col c, Expr.Col src.(k)) :: !same_class;
+            None
+          end)
+        (cols a)
+    in
+    (a, Array.of_list (List.map fst links), Array.of_list (List.map snd links))
+  in
+  let delta =
+    match List.filter (fun a -> a.name = probe_table) atoms with
+    | [ a ] -> a
+    | _ -> raise (Refuse "probe")
+  in
+  (* Greedy order from the Δ-atom: next is the atom with the most bound
+     columns (earliest in the body on ties); one with none would be a cross
+     product. *)
+  let n_bound a = List.length (List.filter bound (cols a)) in
+  let rec order s acc = function
+    | [] -> List.rev acc
+    | a0 :: _ as rest ->
+        let a = List.fold_left (fun b a -> if n_bound a > n_bound b then a else b) a0 rest in
+        if s > 0 && n_bound a = 0 then raise (Refuse "cross");
+        let linked = bind s a in
+        order (s + 1) (linked :: acc) (List.filter (( != ) a) rest)
+  in
+  let links = Array.of_list (order 0 [] (delta :: List.filter (( != ) delta) atoms)) in
+  (* Residual predicates and the head read each class through its binding
+     column, so a filter runs at the earliest stage that binds its classes. *)
+  let canon c = src.(Union_find.find uf c) in
+  let preds = List.map (Expr.map_pred_cols canon) preds @ !same_class in
+  let at s p = List.fold_left (fun m c -> max m stage_of.(c)) 0 (Expr.pred_cols p) = s in
+  let stage s (atom, keys, srcs) = { atom; keys; srcs; preds = List.filter (at s) preds } in
+  { stages = Array.mapi stage links; stage_of; out = Array.map (Expr.map_cols canon) out }
 
 let compile ex ~probe_table plan =
   match Inject.kernel_should_fail ~point:"kernel.compile" with
-  | () -> compile_shape ex ~probe_table plan
+  | () -> ( try Ok (compile_shape ex ~probe_table plan) with Refuse reason -> Error reason)
   | exception Fault.Injected _ -> Error "chaos"
 
 let count (ex : Executor.t) name n =
   match ex.trace with Some tr -> Rs_obs.Trace.count tr name n | None -> ()
 
-let run (ex : Executor.t) k ~dedup ~out =
+let exec (ex : Executor.t) k ~dedup ~out =
   (* The exec probe sits before any write, so a fired fault leaves [dedup]
      and [out] untouched and the caller can re-evaluate interpreted. *)
-  (match Inject.kernel_should_fail ~point:"kernel.exec" with
-  | () -> ()
-  | exception Fault.Injected _ -> raise (Degraded "kernel.exec"));
-  let emitted = ref 0 in
-  let batches = ref 0 in
-  (* One emit closure, monomorphized on head arity: evaluate the head
+  (try Inject.kernel_should_fail ~point:"kernel.exec"
+   with Fault.Injected _ -> raise (Degraded "kernel.exec"));
+  let stages = k.stages in
+  let rels = Array.map (fun s -> Catalog.rel ex.catalog s.atom.name) stages in
+  (* The current row of every stage, and every frame column's storage: a
+     frame read is two array loads. Chunk-safe scratch, as the virtual pool
+     runs chunks sequentially. *)
+  let rows = Array.make (Array.length stages) 0 in
+  let vecs = Array.mapi (fun c s -> Relation.col rels.(s) (c - stages.(s).atom.off)) k.stage_of in
+  let get c = Rs_util.Int_vec.get vecs.(c) rows.(k.stage_of.(c)) in
+  let claims = ref 0 and batches = ref 0 and before = Relation.nrows out in
+  (* The last link, monomorphized on head arity: evaluate the head
      expressions, claim the tuple in FAST-DEDUP, and append on freshness —
      no intermediate relation ever exists. *)
   let emit =
     match k.out with
     | [| e0 |] ->
-        fun get ->
+        fun () ->
           let v0 = Expr.eval get e0 in
-          if Dedup.add1 dedup v0 then begin
-            Relation.push1 out v0;
-            incr emitted
-          end
+          incr claims;
+          if Dedup.add1 dedup v0 then Relation.push1 out v0
     | [| e0; e1 |] ->
-        fun get ->
+        fun () ->
           let v0 = Expr.eval get e0 and v1 = Expr.eval get e1 in
-          if Dedup.add2 dedup v0 v1 then begin
-            Relation.push2 out v0 v1;
-            incr emitted
-          end
+          incr claims;
+          if Dedup.add2 dedup v0 v1 then Relation.push2 out v0 v1
     | [| e0; e1; e2 |] ->
-        (* scratch row is chunk-safe: the virtual pool runs chunks
-           sequentially, and both dedup layouts copy on insert *)
+        (* both dedup layouts copy the scratch row on insert *)
         let row = Array.make 3 0 in
-        fun get ->
+        fun () ->
           row.(0) <- Expr.eval get e0;
           row.(1) <- Expr.eval get e1;
           row.(2) <- Expr.eval get e2;
-          if Dedup.add_row dedup row then begin
-            Relation.push3 out row.(0) row.(1) row.(2);
-            incr emitted
-          end
+          incr claims;
+          if Dedup.add_row dedup row then Relation.push3 out row.(0) row.(1) row.(2)
     | exprs ->
-        let a = Array.length exprs in
-        let row = Array.make a 0 in
-        fun get ->
-          for i = 0 to a - 1 do
-            row.(i) <- Expr.eval get exprs.(i)
-          done;
-          if Dedup.add_row dedup row then begin
-            Relation.push_row out row;
-            incr emitted
-          end
+        let row = Array.make (Array.length exprs) 0 in
+        fun () ->
+          Array.iteri (fun i e -> row.(i) <- Expr.eval get e) exprs;
+          incr claims;
+          if Dedup.add_row dedup row then Relation.push_row out row
   in
-  (match k.shape with
-  | Unary u ->
-      let prel = Catalog.rel ex.catalog u.p_name in
-      let n = Relation.nrows prel in
-      Pool.parallel_for ex.pool 0 n (fun lo hi ->
-          incr batches;
-          count ex "kernel.batch_rows" (hi - lo);
-          for row = lo to hi - 1 do
-            let get c = Relation.get prel ~row ~col:c in
-            if List.for_all (Expr.test get) u.p_preds then emit get
-          done);
-      count ex "kernel.fused_probes" n
-  | Binary b ->
-      let prel = Catalog.rel ex.catalog b.b_probe.p_name in
-      let brel = Catalog.rel ex.catalog b.b_build_name in
-      let idx, owned = Executor.acquire_index ex ~scan_name:b.b_build_name brel b.b_build_keys in
-      let la = b.b_la in
-      let lrel, rrel = if b.b_probe_is_left then (prel, brel) else (brel, prel) in
-      let p_preds = b.b_probe.p_preds in
-      let has_extra = b.b_extra <> [] in
-      let visit prow brow =
-        let lrow, rrow = if b.b_probe_is_left then (prow, brow) else (brow, prow) in
-        let get c =
-          if c < la then Relation.get lrel ~row:lrow ~col:c
-          else Relation.get rrel ~row:rrow ~col:(c - la)
-        in
-        if (not has_extra) || List.for_all (Expr.test get) b.b_extra then emit get
-      in
-      (* Probe closure monomorphized on key shape: 1- and 2-column keys go
-         through the specialized index entry points (no key array). *)
-      let probe_row =
-        match b.b_probe_keys with
-        | [| c0 |] ->
-            fun prow ->
-              Executor.index_iter_matches1 idx
-                (Relation.get prel ~row:prow ~col:c0)
-                (fun brow -> visit prow brow)
-        | [| c0; c1 |] ->
-            fun prow ->
-              Executor.index_iter_matches2 idx
-                (Relation.get prel ~row:prow ~col:c0)
-                (Relation.get prel ~row:prow ~col:c1)
-                (fun brow -> visit prow brow)
-        | pkeys ->
-            let key = Array.make (Array.length pkeys) 0 in
-            fun prow ->
-              Array.iteri (fun i c -> key.(i) <- Relation.get prel ~row:prow ~col:c) pkeys;
-              Executor.index_iter_matches idx key (fun brow -> visit prow brow)
-      in
-      let n = Relation.nrows prel in
-      Pool.parallel_for ex.pool 0 n (fun lo hi ->
-          incr batches;
-          count ex "kernel.batch_rows" (hi - lo);
-          for prow = lo to hi - 1 do
-            let pget c = Relation.get prel ~row:prow ~col:c in
-            if p_preds = [] || List.for_all (Expr.test pget) p_preds then probe_row prow
-          done);
-      if owned then Executor.index_release idx;
-      count ex "kernel.fused_probes" n);
-  count ex "kernel.execs" 1;
-  count ex "kernel.batches" !batches;
-  count ex "kernel.emitted" !emitted;
-  !emitted
+  let passes ps =
+    let test = Expr.test get in
+    fun () -> List.for_all test ps
+  in
+  (* Build the chain back to front: each probe hands its surviving matches
+     to the next link. 1- and 2-column keys use the specialized index entry
+     points (no key array). *)
+  let owned = ref [] in
+  let rec link s =
+    if s = Array.length stages then emit
+    else
+      let st = stages.(s) in
+      let next = link (s + 1) and ok = passes st.preds in
+      let on_match row = rows.(s) <- row; if ok () then next () in
+      let idx, own = Executor.acquire_index ex ~scan_name:st.atom.name rels.(s) st.keys in
+      if own then owned := idx :: !owned;
+      match st.srcs with
+      | [| c0 |] -> fun () -> Executor.index_iter_matches1 idx (get c0) on_match
+      | [| c0; c1 |] -> fun () -> Executor.index_iter_matches2 idx (get c0) (get c1) on_match
+      | srcs ->
+          let key = Array.make (Array.length srcs) 0 in
+          fun () ->
+            Array.iteri (fun i c -> key.(i) <- get c) srcs;
+            Executor.index_iter_matches idx key on_match
+  in
+  let probe = link 1 and ok0 = passes stages.(0).preds in
+  let n = Relation.nrows rels.(0) in
+  Pool.parallel_for ex.pool 0 n (fun lo hi ->
+      incr batches;
+      count ex "kernel.batch_rows" (hi - lo);
+      for row = lo to hi - 1 do
+        rows.(0) <- row;
+        if ok0 () then probe ()
+      done);
+  List.iter Executor.index_release !owned;
+  let emitted = Relation.nrows out - before in
+  List.iter
+    (fun (name, v) -> count ex name v)
+    [ ("kernel.fused_probes", n); ("kernel.execs", 1); ("kernel.batches", !batches);
+      ("kernel.emitted", emitted); ("dedup.probes", !claims); ("dedup.hits", !claims - emitted) ];
+  emitted
+
+let run (ex : Executor.t) k ~dedup ~out =
+  let go () = exec ex k ~dedup ~out in
+  match ex.trace with
+  | Some tr -> Rs_obs.Trace.span tr ~kind:"kernel" k.stages.(0).atom.name go
+  | None -> go ()

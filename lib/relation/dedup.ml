@@ -290,13 +290,11 @@ let dedup_relation_parallel ?expected ?trace ~pool mode r =
     let arity = Relation.arity r in
     let n = Relation.nrows r in
     let t = create ~expected:(Option.value expected ~default:(max 16 n)) mode arity in
-    let out = Relation.create ~name:(Relation.name r ^ "_dedup") arity in
     let fragments = ref [] in
     Rs_parallel.Pool.parallel_for pool 0 n (fun lo hi ->
         let frag = Relation.create arity in
         dedup_chunk t r frag lo hi;
         fragments := frag :: !fragments);
-    ignore out;
     let merged = Relation.concat_parallel pool arity (List.rev !fragments) in
     account t;
     release t;

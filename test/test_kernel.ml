@@ -1,7 +1,7 @@
-(* Compiled rule kernels (Rs_exec.Kernel): fused join→project→dedup closures
-   for hot recursive rules. Every test runs the same program twice — kernels
-   on and kernels off — on fresh pools and asserts the canonical output rows
-   are identical; the trace counters then pin which path actually ran. PBME
+(* Compiled rule kernels (Rs_exec.Kernel): fused scan→probe*→project→dedup
+   chains for hot recursive rules. Every test runs the same program twice —
+   kernels on and kernels off — on fresh pools and asserts the canonical
+   output rows are identical; the trace counters then pin which path ran. PBME
    is held off throughout so TC/SG-shaped strata take the relational path
    the kernels accelerate (with PBME on they would collapse to the
    bit-matrix kernels and neither path under test would execute). *)
@@ -124,6 +124,140 @@ let test_filters_fused () =
   in
   let tr_on, _ = run_both src edb in
   check "rules compiled" true (c tr_on "kernel.compiled_rules" > 0)
+
+(* --- probe chains: k-way bodies ------------------------------------------ *)
+
+(* Every chain test: same answer both ways, every rule compiled, nothing
+   refused or degraded. *)
+let run_chain src edb =
+  let tr_on, _ = run_both src edb in
+  check "rules compiled" true (c tr_on "kernel.compiled_rules" > 0);
+  check "no rule refused" true (c tr_on "kernel.fallback_rules" = 0);
+  check "no execution degraded" true (c tr_on "kernel.fallbacks" = 0);
+  check "kernels executed" true (c tr_on "kernel.execs" > 0);
+  tr_on
+
+let graph_edb name =
+  (name, 2, [ [ 0; 1 ]; [ 0; 2 ]; [ 1; 3 ]; [ 2; 3 ]; [ 3; 4 ]; [ 3; 5 ]; [ 4; 0 ]; [ 5; 5 ] ])
+
+let test_chain_sg () =
+  (* sg(a, b) is the middle atom: the chain scans Δ-sg and probes both arc
+     occurrences from it *)
+  ignore (run_chain Recstep.Programs.sg [ graph_edb "arc" ])
+
+let test_chain_andersen () =
+  (* the load and store rules join pointsTo with itself: each has two delta
+     plans, one per pointsTo occurrence, each probing the full table *)
+  let edb =
+    [
+      ("addressOf", 2, [ [ 0; 10 ]; [ 1; 11 ]; [ 2; 12 ]; [ 10; 13 ]; [ 11; 14 ]; [ 12; 10 ] ]);
+      ("assign", 2, [ [ 3; 0 ]; [ 4; 3 ]; [ 5; 1 ] ]);
+      ("load", 2, [ [ 6; 0 ]; [ 7; 4 ]; [ 8; 2 ] ]);
+      ("store", 2, [ [ 1; 2 ]; [ 4; 5 ]; [ 10; 6 ] ]);
+    ]
+  in
+  let tr = run_chain Recstep.Programs.andersen edb in
+  check "load/store delta plans ran fused" true (c tr "kernel.emitted" > 0)
+
+let test_chain_shared_variable () =
+  (* y is shared by all three atoms and the Δ-atom is the last one. The
+     planner joins r.y with e0.y only, yet e1 binds both y (through
+     e1.y = e0.y = r.y) and w, so the chain probes e1 first on (y, w) *)
+  let src =
+    ".input e0\n.input e1\n\
+     r(x, y) :- e0(x, y).\n\
+     r(x, w) :- e0(y, x), e1(y, w), r(y, w).\n\
+     .output r"
+  in
+  let e1 = ("e1", 2, [ [ 0; 1 ]; [ 1; 3 ]; [ 3; 4 ]; [ 3; 9 ]; [ 5; 5 ] ]) in
+  let tr = run_chain src [ graph_edb "e0"; e1 ] in
+  check "the chain derived tuples" true (c tr "kernel.emitted" > 0)
+
+let test_chain_late_comparison () =
+  (* x != y and y <= 4 can only run once the final probe binds y *)
+  let src =
+    ".input e0\n\
+     p(x, y) :- e0(x, y).\n\
+     p(x, y) :- p(x, z), e0(z, w), e0(w, y), x != y, y <= 4.\n\
+     .output p"
+  in
+  ignore (run_chain src [ graph_edb "e0" ])
+
+let test_chain_four_atoms () =
+  let src =
+    ".input e0\n.input e1\n\
+     p(x, y) :- e0(x, y).\n\
+     p(x, y) :- e0(x, a), p(a, b), e1(b, c), e0(c, y).\n\
+     .output p"
+  in
+  ignore (run_chain src [ graph_edb "e0"; ("e1", 2, [ [ 1; 1 ]; [ 3; 4 ]; [ 4; 3 ]; [ 5; 0 ] ]) ])
+
+let test_chain_dedup_counters () =
+  (* the kernel's FAST-DEDUP claims are the interpreted bag's rows, so
+     dedup.probes / dedup.hits read the same on both paths; each run is a
+     "kernel" span *)
+  let tr_on, tr_off = run_both Recstep.Programs.sg [ graph_edb "arc" ] in
+  Alcotest.(check int) "dedup.probes on = off" (c tr_off "dedup.probes") (c tr_on "dedup.probes");
+  Alcotest.(check int) "dedup.hits on = off" (c tr_off "dedup.hits") (c tr_on "dedup.hits");
+  let kernel_spans tr =
+    List.length (List.filter (fun s -> s.Trace.sp_kind = "kernel") (Trace.spans tr))
+  in
+  Alcotest.(check int) "one kernel span per execution" (c tr_on "kernel.execs") (kernel_spans tr_on);
+  Alcotest.(check int) "no kernel span with kernels off" 0 (kernel_spans tr_off)
+
+(* Hand-built plan, kernel vs executor: join keys that equate two columns
+   of one atom (never emitted by the planner, which turns repeated
+   variables into local filters) put both columns in one class, and the
+   kernel must check that same-class equality — on the Δ-atom at stage 0
+   and on a probed atom whose class the chain has not bound before it. *)
+let test_chain_same_class_columns () =
+  let module Catalog = Rs_exec.Catalog in
+  let module Executor = Rs_exec.Executor in
+  let module Plan = Rs_exec.Plan in
+  let module Dedup = Rs_relation.Dedup in
+  let catalog = Catalog.create () in
+  let table name arity rows =
+    Catalog.register catalog name (Relation.of_rows ~name arity (List.map Array.of_list rows))
+  in
+  table "d" 2 [ [ 1; 1 ]; [ 2; 2 ]; [ 3; 4 ]; [ 5; 5 ] ];
+  table "a" 3 [ [ 1; 7; 7 ]; [ 1; 8; 9 ]; [ 2; 6; 6 ]; [ 3; 7; 7 ]; [ 5; 9; 9 ] ];
+  table "b" 2 [ [ 1; 7 ]; [ 7; 0 ]; [ 8; 1 ]; [ 9; 2 ]; [ 6; 3 ] ];
+  let pool = Pool.create ~workers:4 () in
+  Pool.begin_run pool;
+  let ex = Executor.create pool catalog in
+  (* frame: d = 0..1, a = 2..4, b = 5..6; d.0 = a.0, d.0 = b.0 = d.1,
+     a.1 = b'.0 = a.2 through a second b occurrence at 7..8 *)
+  let da = Plan.join2 (Plan.Scan "d") [| 0 |] (Plan.Scan "a") [| 0 |] in
+  let dab = Plan.join2 da [| 0; 1 |] (Plan.Scan "b") [| 0; 0 |] in
+  let plan =
+    Plan.join2 dab [| 3; 4 |] (Plan.Scan "b") [| 0; 0 |]
+      ~out:[| Rs_exec.Expr.Col 0; Rs_exec.Expr.Col 3; Rs_exec.Expr.Col 8 |]
+  in
+  let expected = canon (Executor.run_query ex plan) in
+  let k =
+    match Rs_exec.Kernel.compile ex ~probe_table:"d" plan with
+    | Ok k -> k
+    | Error reason -> Alcotest.failf "chain refused: %s" reason
+  in
+  let dedup = Dedup.create Dedup.Fast 3 and out = Relation.create 3 in
+  let emitted = Rs_exec.Kernel.run ex k ~dedup ~out in
+  Dedup.release dedup;
+  Alcotest.(check (list (list int))) "kernel = executor" expected (canon out);
+  Alcotest.(check int) "emitted = distinct rows" (List.length expected) emitted;
+  check "the plan has answers" true (expected <> [])
+
+let test_fallback_cross_product () =
+  (* s(w) shares no variable with the rest of the body: the chain cannot
+     reach it from the Δ-atom, so the IDB stays interpreted *)
+  let src =
+    ".input e0\n.input s\n\
+     p(x, y) :- e0(x, y).\n\
+     p(x, y) :- p(x, z), e0(z, y), s(w).\n\
+     .output p"
+  in
+  let tr_on, _ = run_both src [ graph_edb "e0"; ("s", 1, [ [ 9 ] ]) ] in
+  check "cross product refused" true (c tr_on "kernel.fallback_rules" > 0);
+  check "nothing compiled" true (c tr_on "kernel.compiled_rules" = 0)
 
 (* --- the cost-model gate and unsupported shapes --------------------------- *)
 
@@ -287,6 +421,19 @@ let suite =
     Alcotest.test_case "arity-3 kernel matches interpreted" `Quick test_arity3;
     Alcotest.test_case "unary (no-join) kernel shape" `Quick test_unary_shape;
     Alcotest.test_case "local predicates fused into the closure" `Quick test_filters_fused;
+    Alcotest.test_case "chain: SG with the delta in the middle" `Quick test_chain_sg;
+    Alcotest.test_case "chain: Andersen load/store self-joins" `Quick test_chain_andersen;
+    Alcotest.test_case "chain: variable shared by three atoms" `Quick
+      test_chain_shared_variable;
+    Alcotest.test_case "chain: comparison bound by the last stage" `Quick
+      test_chain_late_comparison;
+    Alcotest.test_case "chain: four-atom body" `Quick test_chain_four_atoms;
+    Alcotest.test_case "chain: dedup counters and kernel spans" `Quick
+      test_chain_dedup_counters;
+    Alcotest.test_case "chain: same-class columns of one atom" `Quick
+      test_chain_same_class_columns;
+    Alcotest.test_case "gate: cross product stays interpreted" `Quick
+      test_fallback_cross_product;
     Alcotest.test_case "gate: wide head stays interpreted" `Quick test_fallback_wide_head;
     Alcotest.test_case "gate: negation stays interpreted" `Quick test_fallback_negation;
     Alcotest.test_case "cold rules never touch the kernel path" `Quick
