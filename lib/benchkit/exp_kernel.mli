@@ -3,9 +3,9 @@
     whose three-way join is a chain of length 2) run with
     [compiled_kernels] on and off, PBME held off, on fresh pools. Prints
     the per-workload table and writes the machine-readable summary —
-    per-side simulated runtimes, the off/on speedup ratio, kernel counters,
-    and whether outputs were byte-identical — to [BENCH_kernel.json] in the
-    working directory. *)
+    per-side median simulated runtimes over 5 alternating repeats, the
+    off/on speedup ratio, kernel counters, and whether outputs were
+    byte-identical — to [BENCH_kernel.json] in the working directory. *)
 
 val exp : scale:int -> unit
 

@@ -128,6 +128,11 @@ let run ?workers ?mem_budget ?timeout_vs ?(repeats = 1) ?with_trace ~name ~make_
     else last
   end
 
+let median xs =
+  match List.sort compare xs with
+  | [] -> invalid_arg "Measure.median"
+  | sorted -> List.nth sorted (List.length sorted / 2)
+
 let outcome_cell = function
   | Done t -> Printf.sprintf "%.3f" t
   | Oom -> "OOM"

@@ -53,6 +53,10 @@ val run :
     The three simulated failures are folded into the {!outcome} via
     {!Rs_engines.Engine_intf.guard} — [f] should let them propagate. *)
 
+val median : float list -> float
+(** The middle sample (the upper one of an even count). Raises
+    [Invalid_argument] on an empty list. *)
+
 val outcome_cell : outcome -> string
 (** Short table cell: "12.3", "OOM", ">10h" (timeout), "-" (unsupported). *)
 

@@ -341,9 +341,13 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
         let n = Relation.nrows rel and arity = Relation.arity rel in
         if n > 0 then begin
           let before = Provenance.recorded p in
+          let record = Provenance.recorder p ~pred ~stratum ~iteration ~expected:n in
+          let tuple = Array.make arity 0 in
           for row = 0 to n - 1 do
-            let t = List.init arity (fun col -> Relation.get rel ~row ~col) in
-            Provenance.record p ~pred ~stratum ~iteration t
+            for col = 0 to arity - 1 do
+              tuple.(col) <- Relation.get rel ~row ~col
+            done;
+            record tuple
           done;
           let tagged = Provenance.recorded p - before in
           Pool.add_serial pool
@@ -397,12 +401,16 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
     end;
     r
   in
-  (* The dedup table is pre-allocated from the optimizer's cardinality
-     estimate (paper §5.1: "the size of the hash table needs to be
-     estimated in order to pre-allocate memory") — with stale statistics
-     (OOF-NA) the estimate degrades and the table pays for rehashing. *)
-  let dedup_expected plans =
-    max 16 (Executor.estimate exec (Plan.UnionAll plans))
+  (* The dedup table is pre-allocated (paper §5.1: "the size of the hash
+     table needs to be estimated in order to pre-allocate memory") from
+     [rows], the evidence of how many tuples it can receive: the bag's size
+     when the bag exists, the live Δ rows the kernels scan when it does not.
+     The optimizer's cardinality estimate caps it — for a join that is the
+     larger input, far above what one round emits — so with stale
+     statistics (OOF-NA) the table is still undersized and pays for
+     rehashing. *)
+  let dedup_expected plans ~rows =
+    max 16 (min rows (Executor.estimate exec (Plan.UnionAll plans)))
   in
   (* Evaluate the given plans for one IDB into a deduplicated relation. *)
   let eval_plans plans =
@@ -470,12 +478,13 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
      issued and no intermediate bag. A chaos-degraded kernel re-evaluates
      interpreted — the probe fires before any write, so falling back can
      never double-count. *)
-  let eval_kernels plans ks ~name ~arity =
-    let dd = Dedup.create ~expected:(dedup_expected plans) dedup_mode arity in
+  let eval_kernels plans ks ~delta_rows ~name ~arity =
+    let dd = Dedup.create ~expected:(dedup_expected plans ~rows:delta_rows) dedup_mode arity in
     let out = Relation.create ~name:(name ^ "@cand") arity in
     (* the filled table is charged like the interpreted dedup pass's table *)
     match
       List.iter (fun k -> ignore (Kernel.run exec k ~dedup:dd ~out)) ks;
+      count_kernel "dedup.rehashes" (Dedup.rehashes dd);
       Dedup.account dd
     with
     | () ->
@@ -646,10 +655,9 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
           if not options.hoard_memory then Relation.release rt
       | None -> ());
       Relation.account candidates;
+      let rows = Relation.nrows candidates in
       let expected =
-        match base_plans st with
-        | [] -> Relation.nrows candidates
-        | plans -> dedup_expected plans
+        match base_plans st with [] -> rows | plans -> dedup_expected plans ~rows
       in
       let rdelta = Dedup.dedup_relation_parallel ~expected ?trace ~pool dedup_mode candidates in
       if not options.hoard_memory then Relation.release candidates;
@@ -696,10 +704,12 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                      honors the same skip (its kernels are aligned 1:1 with
                      the delta plans). *)
                   let dps = delta_plans st in
-                  let is_live (dpred, _) =
-                    Relation.nrows (Catalog.rel catalog (Planner.delta_name dpred)) > 0
+                  let delta_rows (dpred, _) =
+                    Relation.nrows (Catalog.rel catalog (Planner.delta_name dpred))
                   in
-                  let plans = List.map snd (List.filter is_live dps) in
+                  let is_live dp = delta_rows dp > 0 in
+                  let live = List.filter is_live dps in
+                  let plans = List.map snd live in
                   let result =
                     if plans = [] then Ev_none
                     else
@@ -710,7 +720,8 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                               (fun (dp, k) -> if is_live dp then Some k else None)
                               (List.combine dps ks)
                           in
-                          eval_kernels plans live_ks ~name:st.name ~arity:st.arity
+                          let delta_rows = List.fold_left (fun n dp -> n + delta_rows dp) 0 live in
+                          eval_kernels plans live_ks ~delta_rows ~name:st.name ~arity:st.arity
                       | None -> (
                           match eval_plans plans with
                           | Some rt -> Ev_raw rt
@@ -742,8 +753,9 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
                       }
                 | Ev_raw rt ->
                     let rdelta =
-                      Dedup.dedup_relation_parallel ~expected:(dedup_expected plans) ?trace ~pool
-                        dedup_mode rt
+                      Dedup.dedup_relation_parallel
+                        ~expected:(dedup_expected plans ~rows:(Relation.nrows rt))
+                        ?trace ~pool dedup_mode rt
                     in
                     if not options.hoard_memory then Relation.release rt;
                     let d = absorb_candidates ~stratum:stratum.index ~iteration:!iteration st rdelta in

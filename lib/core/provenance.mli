@@ -47,6 +47,14 @@ val record : t -> pred:string -> stratum:int -> iteration:int -> int list -> uni
     keeps the original tag); sampled-out tuples are counted but not
     stored. *)
 
+val recorder :
+  t -> pred:string -> stratum:int -> iteration:int -> expected:int -> int array -> unit
+(** [recorder t ~pred ~stratum ~iteration ~expected] is
+    [record t ~pred ~stratum ~iteration] on array rows, for a batch of
+    about [expected] tuples: the predicate's table is looked up once, a
+    table created for the batch is sized to hold it, and the row array is
+    never retained, so the caller may reuse it. *)
+
 val retract : t -> pred:string -> int list -> unit
 (** Drop the tag of a tuple that left its relation (IVM retraction). *)
 

@@ -15,6 +15,7 @@ type fast = {
   wide : Int_vec.t;  (* used when [packed] is false and farity > 1 *)
   mutable count : int;
   mutable mask : int;
+  mutable rehashes : int;  (* bucket-array doublings since [create] *)
   mutable packed : bool;
       (* arity-2 tables start packed and migrate to the wide layout on the
          first tuple outside [0, 2^31) (e.g. a negative attribute); arity-1
@@ -47,6 +48,7 @@ let create ?(expected = 64) mode arity =
             wide = Int_vec.create ();
             count = 0;
             mask = cap - 1;
+            rehashes = 0;
             packed = arity <= 2;
           }
   in
@@ -71,7 +73,8 @@ let rehash f =
     heads.(h) <- slot
   done;
   f.heads <- heads;
-  f.mask <- mask
+  f.mask <- mask;
+  f.rehashes <- f.rehashes + 1
 
 (* --- packed (arity <= 2) path --- *)
 
@@ -231,6 +234,8 @@ let mem2 t x y = mem_row t [| x; y |]
 let cardinal t =
   match t.impl with F f -> f.count | B h -> Hashtbl.length h
 
+let rehashes t = match t.impl with F f -> f.rehashes | B _ -> 0
+
 (* Estimated GC-heap footprint of a Hashtbl entry: bucket cons (3 words) +
    boxed key array header+data. *)
 let boxed_entry_bytes arity = 8 * (3 + 1 + arity) + 16
@@ -276,14 +281,16 @@ let dedup_chunk t r out lo hi =
         if add_row t row then Relation.push_row out row
       done
 
-(* probes = input tuples, hits = duplicates absorbed by the table *)
-let record_trace trace r distinct =
+(* probes = input tuples, hits = duplicates absorbed by the table,
+   rehashes = times the table outgrew its pre-allocated buckets *)
+let record_trace trace t r distinct =
   match trace with
   | None -> ()
   | Some tr ->
       let probes = Relation.nrows r in
       Rs_obs.Trace.count tr "dedup.probes" probes;
-      Rs_obs.Trace.count tr "dedup.hits" (max 0 (probes - distinct))
+      Rs_obs.Trace.count tr "dedup.hits" (max 0 (probes - distinct));
+      Rs_obs.Trace.count tr "dedup.rehashes" (rehashes t)
 
 let dedup_relation_parallel ?expected ?trace ~pool mode r =
   let go () =
@@ -298,7 +305,7 @@ let dedup_relation_parallel ?expected ?trace ~pool mode r =
     let merged = Relation.concat_parallel pool arity (List.rev !fragments) in
     account t;
     release t;
-    record_trace trace r (Relation.nrows merged);
+    record_trace trace t r (Relation.nrows merged);
     merged
   in
   match trace with
@@ -315,7 +322,7 @@ let dedup_relation ?expected ?trace mode r =
     account t;
     Relation.account out;
     release t;
-    record_trace trace r (Relation.nrows out);
+    record_trace trace t r (Relation.nrows out);
     out
   in
   match trace with

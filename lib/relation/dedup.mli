@@ -28,8 +28,8 @@ type t
 
 val create : ?expected:int -> mode -> int -> t
 (** [create mode arity] makes an empty set. [expected] pre-sizes the bucket
-    array, mirroring the paper's pre-allocation from the optimizer's
-    estimate. *)
+    array (the paper's pre-allocation, §5.1); a {!Fast} table that receives
+    more distinct tuples than its buckets doubles them ({!rehashes}). *)
 
 val mode : t -> mode
 
@@ -48,6 +48,10 @@ val mem2 : t -> int -> int -> bool
 
 val cardinal : t -> int
 
+val rehashes : t -> int
+(** Times a {!Fast} table has doubled its bucket array since {!create}
+    (always 0 for {!Boxed}, whose growth [Hashtbl] hides). *)
+
 val bytes : t -> int
 
 val account : t -> unit
@@ -59,8 +63,9 @@ val dedup_relation : ?expected:int -> ?trace:Rs_obs.Trace.t -> mode -> Relation.
 (** [dedup_relation mode r] returns a fresh relation with [r]'s distinct
     tuples in first-occurrence order — the engine's [dedup(R)] call
     (Algorithm 1, line 10). When [trace] is given the call records a
-    ["dedup"] span named after [r] plus [dedup.probes] (input tuples) and
-    [dedup.hits] (duplicates absorbed) counters. *)
+    ["dedup"] span named after [r] plus [dedup.probes] (input tuples),
+    [dedup.hits] (duplicates absorbed) and [dedup.rehashes] ({!rehashes})
+    counters. *)
 
 val dedup_relation_parallel :
   ?expected:int -> ?trace:Rs_obs.Trace.t -> pool:Rs_parallel.Pool.t -> mode -> Relation.t

@@ -149,6 +149,19 @@ let run ?(options = default_options) ~pool ~edb program =
         Pool.absorb pool ~real:!real ~sim:!mx ~busy:!busy)
       f
   in
+  (* Nodes run concurrently, so a node's serial work between its pool
+     batches is booked on that node's pool (one worker busy for its wall
+     time). The superstep then charges the slowest node's serial plus batch
+     time, not the sum of every node's serial time. *)
+  let on_node nd f =
+    let r0, _, _ = Pool.consumed nd.Node.pool in
+    let t0 = Rs_util.Clock.now () in
+    let v = f () in
+    let r1, _, _ = Pool.consumed nd.Node.pool in
+    let serial = Rs_util.Clock.now () -. t0 -. (r1 -. r0) in
+    Pool.absorb nd.Node.pool ~real:serial ~sim:serial ~busy:serial;
+    v
+  in
   let issue nd plan =
     incr queries;
     nd.Node.queries <- nd.Node.queries + 1;
@@ -506,7 +519,8 @@ let run ?(options = default_options) ~pool ~edb program =
             Array.map
               (fun nd ->
                 Inject.node_should_fail ~point:(node_point nd "eval");
-                List.map (fun p -> (p, eval_on nd p (variants_for nd p))) preds)
+                on_node nd (fun () ->
+                    List.map (fun p -> (p, eval_on nd p (variants_for nd p))) preds))
               nodes)
       in
       (* select pred p's inbox from each node, preserving node order *)
@@ -554,7 +568,7 @@ let run ?(options = default_options) ~pool ~edb program =
                   Array.fold_left
                     (fun acc nd ->
                       Inject.node_should_fail ~point:(node_point nd "absorb");
-                      acc + absorb nd p (received nd.Node.id))
+                      acc + on_node nd (fun () -> absorb nd p (received nd.Node.id)))
                     0 nodes
                 in
                 (p, d))

@@ -139,6 +139,59 @@ let test_sampling_deterministic () =
 
 (* --- pathological databases --- *)
 
+(* The tag store against a Hashtbl model: packed pairs, arity-1 values,
+   and rows that cannot pack (negative attributes, arity 3), through growth
+   from the smallest table, retraction, re-recording and growth again past
+   the retracted slots. Tags are first-write-wins, a retracted tuple has
+   none, and a re-recorded one gets a fresh sequence number. *)
+let test_tag_store_model () =
+  let prov = Provenance.create () in
+  let model = Hashtbl.create 1024 in
+  let seq = ref 0 in
+  let record pred row ~iteration =
+    Provenance.record prov ~pred ~stratum:1 ~iteration row;
+    if not (Hashtbl.mem model (pred, row)) then begin
+      incr seq;
+      Hashtbl.replace model (pred, row) (iteration, !seq)
+    end
+  in
+  let retract pred row =
+    Provenance.retract prov ~pred row;
+    Hashtbl.remove model (pred, row)
+  in
+  let rows i = [ ("pair", [ i mod 700; i / 700 ]); ("one", [ i ]); ("neg", [ -i; i ]); ("wide", [ i; i; -i ]) ] in
+  for i = 0 to 19_999 do
+    List.iter (fun (pred, row) -> record pred row ~iteration:0) (rows i);
+    (* duplicates keep their first tag *)
+    if i mod 3 = 0 then List.iter (fun (pred, row) -> record pred row ~iteration:9) (rows (i / 2))
+  done;
+  for i = 0 to 19_999 do
+    if i mod 2 = 0 then List.iter (fun (pred, row) -> retract pred row) (rows i)
+  done;
+  for i = 10_000 to 39_999 do
+    List.iter (fun (pred, row) -> record pred row ~iteration:1) (rows i)
+  done;
+  let wrong = ref 0 in
+  for i = 0 to 40_999 do
+    List.iter
+      (fun (pred, row) ->
+        let expected =
+          Option.map
+            (fun (iteration, seq) ->
+              { Provenance.t_stratum = 1; t_iteration = iteration; t_seq = seq })
+            (Hashtbl.find_opt model (pred, row))
+        in
+        if Provenance.find prov ~pred row <> expected then incr wrong)
+      (rows i)
+  done;
+  Alcotest.(check int) "every tag matches the model" 0 !wrong;
+  List.iter
+    (fun pred ->
+      let live = Hashtbl.fold (fun (p, _) _ n -> if p = pred then n + 1 else n) model 0 in
+      Alcotest.(check int) (pred ^ " tagged") live (Provenance.tagged prov ~pred))
+    [ "pair"; "one"; "neg"; "wide" ];
+  Alcotest.(check int) "recorded counts every fresh tag" !seq (Provenance.recorded prov)
+
 let test_no_proof_on_inconsistent_db () =
   let an, rows, _, _ = run_with_prov Programs.tc chain in
   (* inject an underivable tuple, exactly what a fuzz "extra row" looks like *)
@@ -170,6 +223,7 @@ let suite =
     Alcotest.test_case "full tag coverage" `Quick test_full_coverage;
     Alcotest.test_case "outputs identical with provenance" `Quick test_outputs_identical_with_provenance;
     Alcotest.test_case "sampling deterministic" `Quick test_sampling_deterministic;
+    Alcotest.test_case "tag store matches a model" `Quick test_tag_store_model;
     Alcotest.test_case "no proof on inconsistent db" `Quick test_no_proof_on_inconsistent_db;
     Alcotest.test_case "budget" `Quick test_budget;
     Alcotest.test_case "json shape" `Quick test_json_shape;

@@ -18,28 +18,30 @@ let check = Alcotest.(check bool)
 
 let canon rel = List.map Array.to_list (Relation.sorted_distinct_rows rel)
 
-(* One interpreter run on a fresh pool; returns (rows of each output, trace). *)
-let run_one ~kernels src edb =
+(* One interpreter run on a fresh pool over the EDB relations [rels];
+   returns (rows of each output, trace). *)
+let run_rels ?oof ~kernels src rels =
   let program = Parser.parse src in
   let pool = Pool.create ~workers:4 () in
   Pool.begin_run pool;
   let trace = Trace.create ~now:(fun () -> Pool.vtime_now pool) () in
-  let edb =
-    List.map
-      (fun (name, arity, rows) ->
-        (name, Relation.of_rows ~name arity (List.map Array.of_list rows)))
-      edb
-  in
   let options =
-    Interpreter.options ~pbme:false ~compiled_kernels:kernels ~trace ()
+    Interpreter.options ?oof ~pbme:false ~compiled_kernels:kernels ~trace ()
   in
-  let result = Interpreter.run ~options ~pool ~edb program in
+  let result = Interpreter.run ~options ~pool ~edb:rels program in
   let outs =
     List.map
       (fun name -> (name, canon (result.Interpreter.relation_of name)))
       program.Recstep.Ast.outputs
   in
   (outs, trace)
+
+let run_one ~kernels src edb =
+  run_rels ~kernels src
+    (List.map
+       (fun (name, arity, rows) ->
+         (name, Relation.of_rows ~name arity (List.map Array.of_list rows)))
+       edb)
 
 (* Both toggle positions must produce byte-identical canonical outputs. *)
 let run_both src edb =
@@ -345,6 +347,145 @@ let test_chaos_persistent_exec_fault () =
   check "every round degraded" true (c tr "kernel.fallbacks" > 0);
   check "no fused execution completed" true (c tr "kernel.execs" = 0)
 
+(* --- FAST-DEDUP sizing: small tables that grow inside kernel rounds -------- *)
+
+(* Non-linear TC over a hub: ten sources into vertex 100, which fans out to
+   a thousand sinks. Round 1 scans 1010 Δ rows in each of its two delta
+   plans but emits 10,000 pairs, so the kernel round's table, sized from
+   its live Δ rows, must grow by rehashing. Non-linear, so PBME never
+   takes the stratum. *)
+let hub_src = ".input arc\ntc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), tc(z, y).\n.output tc"
+
+let hub_rows =
+  List.init 10 (fun i -> [| i; 100 |]) @ List.init 1000 (fun j -> [| 100; 200 + j |])
+
+let hub_edb () = [ ("arc", Relation.of_rows ~name:"arc" 2 hub_rows) ]
+
+type ending = Rows of (string * int list list) list | Typed of Fault.cls * string
+
+(* The hub run under "dedup:p=1,after=[after],limit=1", through the engine
+   guard: one dedup probe fails, at whichever point it lands. *)
+let hub_faulted ~kernels ~after =
+  let plan = Printf.sprintf "dedup:p=1,after=%d,limit=1" after in
+  match
+    Rs_engines.Engine_intf.guard (fun () ->
+        Inject.with_plan (Fault.plan_of_string ~seed:7 plan) (fun () ->
+            run_rels ~kernels hub_src (hub_edb ())))
+  with
+  | Rs_engines.Engine_intf.Done (outs, _) -> Rows outs
+  | Rs_engines.Engine_intf.Fault { cls; point } -> Typed (cls, point)
+  | _ -> Alcotest.fail "hub run ended neither done nor with a typed fault"
+
+(* The first [after] at which the single fault lands on a rehash. *)
+let rehash_probe ~kernels =
+  let rec go after =
+    if after > 8 then None
+    else
+      match hub_faulted ~kernels ~after with
+      | Typed (_, "dedup.rehash") -> Some after
+      | _ -> go (after + 1)
+  in
+  go 0
+
+let test_sizing_kernel_round_rehashes () =
+  (* iteration 0 deduplicates the arc scan, whose estimate is exact, so its
+     table never grows: every rehash of the kernels-on run, and the fault
+     point below, belongs to a kernel round *)
+  let tr_on, _ = run_both hub_src [ ("arc", 2, List.map Array.to_list hub_rows) ] in
+  check "kernel round rehashed" true (c tr_on "dedup.rehashes" > 0);
+  check "rehash fault reachable from a kernel round" true (rehash_probe ~kernels:true <> None)
+
+let test_sizing_rehash_fault_is_typed () =
+  (* every single-fault position ends as the right rows or a typed fault *)
+  let clean, _ = run_rels ~kernels:false hub_src (hub_edb ()) in
+  for after = 0 to 8 do
+    match hub_faulted ~kernels:true ~after with
+    | Rows outs ->
+        Alcotest.(check (list (pair string (list (list int)))))
+          "a fault that missed never changes the answer" clean outs
+    | Typed (cls, _) -> check "typed as a dedup fault" true (cls = Fault.Dedup_fail)
+  done
+
+(* The same rehash fault through the service: the retry recomputes the
+   right answer (one fault) or the query ends typed (every probe from the
+   rehash on fails), and the tracker is back at its baseline either way. *)
+let test_sizing_rehash_fault_served () =
+  let module Service = Rs_service.Service in
+  let module Memtrack = Rs_storage.Memtrack in
+  let after =
+    match rehash_probe ~kernels:true with Some a -> a | None -> Alcotest.fail "no rehash probe"
+  in
+  let clean, _ = run_rels ~kernels:false hub_src (hub_edb ()) in
+  let serve plan =
+    Memtrack.hard_reset ();
+    Memtrack.set_budget None;
+    let store = Rs_service.Edb_store.create () in
+    let arc = Relation.of_rows ~name:"arc" 2 hub_rows in
+    Relation.account arc;
+    Rs_service.Edb_store.define store "g" [ ("arc", arc) ];
+    let baseline = Memtrack.live () in
+    let sub =
+      Service.Submit (Service.submission ~tenant:"t" ~edb:"g" (Parser.parse hub_src))
+    in
+    let report =
+      Inject.with_plan (Fault.plan_of_string ~seed:7 plan) (fun () ->
+          Service.run ~config:(Service.config ~workers:4 ~seed:1 ~ivm:false ()) ~edb:store [ sub ])
+    in
+    Alcotest.(check int) "live bytes back to baseline" baseline (Memtrack.live ());
+    List.hd report.Service.completions
+  in
+  let as_lists value = List.map (fun (n, rows) -> (n, List.map Array.to_list rows)) value in
+  let once = serve (Printf.sprintf "dedup:p=1,after=%d,limit=1" after) in
+  (match once.Service.c_outcome with
+  | Service.Done value ->
+      Alcotest.(check (list (pair string (list (list int)))))
+        "retried answer is right" clean (as_lists value)
+  | o -> Alcotest.fail ("expected done after a retry, got " ^ Service.outcome_label o));
+  check "the fault was retried" true (once.Service.c_retries >= 1);
+  let always = serve (Printf.sprintf "dedup:p=1,after=%d" after) in
+  match always.Service.c_outcome with
+  | Service.Fault { cls = Fault.Dedup_fail; _ } -> ()
+  | Service.Done value ->
+      check "served only from a degraded rung" true (always.Service.c_degraded <> None);
+      Alcotest.(check (list (pair string (list (list int)))))
+        "degraded answer is right" clean (as_lists value)
+  | o -> Alcotest.fail ("expected a typed fault, got " ^ Service.outcome_label o)
+
+(* Andersen and CSPA on small generated inputs: kernels on = off, with
+   fresh statistics and with none (OOF-NA). Stale statistics only ever
+   lower the estimate that caps a table's size, so OOF-NA never rehashes
+   less. Non-linear TC on a small random graph shows the cap binding: the
+   interpreted rounds' bags would size their tables large enough, the stale
+   estimates do not. *)
+let test_sizing_program_analysis () =
+  let run ?oof ~kernels src rels = run_rels ?oof ~kernels src (rels ()) in
+  let same what a b = Alcotest.(check (list (pair string (list (list int))))) what a b in
+  List.iter
+    (fun (name, src, rels) ->
+      let on, tr_on = run ~kernels:true src rels and off, tr_off = run ~kernels:false src rels in
+      let on_na, tr_on_na = run ~oof:Interpreter.Oof_off ~kernels:true src rels
+      and off_na, tr_off_na = run ~oof:Interpreter.Oof_off ~kernels:false src rels in
+      same (name ^ ": kernels on = off") off on;
+      same (name ^ ": kernels on = off under OOF-NA") off on_na;
+      same (name ^ ": interpreted under OOF-NA") off off_na;
+      check (name ^ ": compiled") true (c tr_on "kernel.compiled_rules" > 0);
+      check (name ^ ": OOF-NA never sizes larger (kernels)") true
+        (c tr_on_na "dedup.rehashes" >= c tr_on "dedup.rehashes");
+      check (name ^ ": OOF-NA never sizes larger (interpreted)") true
+        (c tr_off_na "dedup.rehashes" >= c tr_off "dedup.rehashes"))
+    [
+      ( "andersen", Recstep.Programs.andersen,
+        fun () -> Rs_datagen.Prog_analysis.andersen ~seed:3 ~nvars:400 );
+      ( "cspa", Recstep.Programs.cspa,
+        fun () -> Rs_datagen.Prog_analysis.cspa_input ~seed:3 ~scale:1 "httpd" );
+    ];
+  let gnp () = [ ("arc", Rs_datagen.Graphs.gnp ~seed:3 ~n:60 ~p:0.04) ] in
+  let fresh, tr_fresh = run ~kernels:false hub_src gnp
+  and stale, tr_stale = run ~oof:Interpreter.Oof_off ~kernels:false hub_src gnp in
+  same "non-linear TC under OOF-NA" fresh stale;
+  check "stale estimates undersize the tables" true
+    (c tr_stale "dedup.rehashes" > c tr_fresh "dedup.rehashes")
+
 (* --- provenance × kernels: all-or-nothing tagging -------------------------- *)
 
 (* Tags are recorded at the single absorption point both paths share, so a
@@ -443,6 +584,14 @@ let suite =
       test_chaos_exec_fault;
     Alcotest.test_case "chaos: persistent exec faults stay correct" `Quick
       test_chaos_persistent_exec_fault;
+    Alcotest.test_case "sizing: a kernel round grows its table" `Quick
+      test_sizing_kernel_round_rehashes;
+    Alcotest.test_case "sizing: rehash fault is typed, never wrong rows" `Quick
+      test_sizing_rehash_fault_is_typed;
+    Alcotest.test_case "sizing: served rehash fault, memory back to baseline" `Quick
+      test_sizing_rehash_fault_served;
+    Alcotest.test_case "sizing: Andersen and CSPA on = off, OOF-NA capped" `Quick
+      test_sizing_program_analysis;
     Alcotest.test_case "provenance: kernel and interpreted tag all-or-nothing"
       `Quick test_provenance_all_or_nothing;
     Alcotest.test_case "provenance: kernel chaos keeps full tag coverage" `Quick

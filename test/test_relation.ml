@@ -100,6 +100,67 @@ let test_dedup_rehash_growth () =
   done;
   Alcotest.(check int) "cardinal" 10000 (Dedup.cardinal t)
 
+(* Grow a Fast table from the smallest pre-allocation to >= 100k distinct
+   tuples against a Hashtbl reference: every add must report freshness
+   exactly as the reference does, and the final set must match it. [draw i]
+   gives the i-th tuple (with repeats); [midway] runs once after [switch_at]
+   draws, with the rehash count seen so far. *)
+let grow_against_reference ?(switch_at = -1) ?(midway = fun _ -> ()) ~arity ~draws draw =
+  let t = Dedup.create ~expected:16 Dedup.Fast arity in
+  let reference = Hashtbl.create 1024 in
+  let wrong = ref 0 in
+  for i = 0 to draws - 1 do
+    if i = switch_at then midway (Dedup.rehashes t);
+    let row = draw i in
+    let fresh = not (Hashtbl.mem reference row) in
+    if fresh then Hashtbl.add reference row ();
+    if Dedup.add_row t (Array.copy row) <> fresh then incr wrong
+  done;
+  Alcotest.(check int) "add agrees with the reference" 0 !wrong;
+  Alcotest.(check int) "cardinal" (Hashtbl.length reference) (Dedup.cardinal t);
+  check ">= 100k distinct" true (Dedup.cardinal t >= 100_000);
+  check "grew by rehashing" true (Dedup.rehashes t > 0);
+  let missing = Hashtbl.fold (fun row () n -> if Dedup.mem_row t row then n else n + 1) reference 0 in
+  Alcotest.(check int) "every accepted tuple is a member" 0 missing;
+  (* tuples never drawn: one attribute outside every draw's range *)
+  let absent = ref 0 in
+  for i = 0 to 999 do
+    let row = Array.init arity (fun c -> if c = 0 then 10_000_000 + i else i) in
+    if Dedup.mem_row t row then incr absent
+  done;
+  Alcotest.(check int) "no phantom members" 0 !absent;
+  t
+
+let growth_draw ~seed ~range ~arity =
+  let st = Random.State.make [| seed |] in
+  fun _ -> Array.init arity (fun _ -> Random.State.int st range)
+
+let test_dedup_growth_arity1 () =
+  ignore (grow_against_reference ~arity:1 ~draws:250_000 (growth_draw ~seed:1 ~range:300_000 ~arity:1))
+
+let test_dedup_growth_arity2 () =
+  ignore (grow_against_reference ~arity:2 ~draws:250_000 (growth_draw ~seed:2 ~range:1000 ~arity:2))
+
+let test_dedup_growth_arity3 () =
+  ignore (grow_against_reference ~arity:3 ~draws:250_000 (growth_draw ~seed:3 ~range:100 ~arity:3))
+
+(* Packed pairs until the table has rehashed, then a negative attribute
+   migrates it to the wide layout, which keeps growing. *)
+let test_dedup_growth_packed_to_wide () =
+  let st = Random.State.make [| 4 |] in
+  let switch_at = 50_000 in
+  let at_switch = ref 0 in
+  let draw i =
+    let x = Random.State.int st 1000 and y = Random.State.int st 1000 in
+    if i < switch_at then [| x; y |] else [| x - 500; y |]
+  in
+  let midway r =
+    check "rehashed while packed" true (r > 0);
+    at_switch := r
+  in
+  let t = grow_against_reference ~switch_at ~midway ~arity:2 ~draws:300_000 draw in
+  check "rehashed again after migrating" true (Dedup.rehashes t > !at_switch)
+
 (* --- CCK concurrent, including a real multi-domain stress test --- *)
 
 let test_cck_sequential () =
@@ -344,6 +405,11 @@ let suite =
     Alcotest.test_case "memory accounting" `Quick test_accounting;
     Alcotest.test_case "dedup wide rows" `Quick test_dedup_wide_membership;
     Alcotest.test_case "dedup rehash growth" `Quick test_dedup_rehash_growth;
+    Alcotest.test_case "dedup growth from 16, arity 1" `Quick test_dedup_growth_arity1;
+    Alcotest.test_case "dedup growth from 16, arity 2" `Quick test_dedup_growth_arity2;
+    Alcotest.test_case "dedup growth from 16, arity 3" `Quick test_dedup_growth_arity3;
+    Alcotest.test_case "dedup growth: packed to wide after rehash" `Quick
+      test_dedup_growth_packed_to_wide;
     Alcotest.test_case "cck sequential" `Quick test_cck_sequential;
     Alcotest.test_case "cck 4-domain stress" `Quick test_cck_concurrent_domains;
     Alcotest.test_case "cck capacity exhaustion is typed" `Quick test_cck_capacity_exhausted;
