@@ -360,6 +360,19 @@ else
   echo "ivm reports written (python3 unavailable, JSON not validated)"
 fi
 
+# The same checks on SG under churn: a non-linear recursive view, seeded
+# from the served result, maintained by DRed through a grow and a cut.
+dune exec bin/recstep_cli.exe -- serve programs/serve_sg_churn.workload \
+  --report "$tmp/serve_sg_ivm.json" >/dev/null
+dune exec bin/recstep_cli.exe -- serve programs/serve_sg_churn.workload \
+  --no-ivm --report "$tmp/serve_sg_noivm.json" >/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 "$tmp/validate_ivm.py" "$tmp/serve_sg_ivm.json" "$tmp/serve_sg_noivm.json"
+else
+  test -s "$tmp/serve_sg_ivm.json" && test -s "$tmp/serve_sg_noivm.json"
+  echo "sg ivm reports written (python3 unavailable, JSON not validated)"
+fi
+
 # Incremental-vs-recompute benchmark: the maintained view must beat
 # recompute-per-delta on the serving-shaped churn stream, with identical
 # outputs at every version. BENCH_ivm.json lands in the working directory

@@ -331,9 +331,9 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
      Tagging the absorbed rows therefore covers every derived tuple with no
      per-path special cases: with sampling at 1.0 an IDB can never end up
      half-tagged, whichever mix of kernels, degraded rounds and retries
-     produced it. Recording is charged to the simulated clock so the
-     benchmark arm measures an honest overhead. *)
-  let prov_scan_cost = 2e-9 and prov_tag_cost = 16e-9 in
+     produced it. Recording runs serially between batches, so its wall time
+     already passes onto the simulated clock; it carries no modeled charge
+     on top. *)
   let prov_record ~pred ~stratum ~iteration rel =
     match options.provenance with
     | None -> ()
@@ -350,8 +350,6 @@ let run ?(options = default_options) ?on_iteration ~pool ~edb program =
             record tuple
           done;
           let tagged = Provenance.recorded p - before in
-          Pool.add_serial pool
-            ((float_of_int n *. prov_scan_cost) +. (float_of_int tagged *. prov_tag_cost));
           match trace with
           | Some tr -> Rs_obs.Trace.count tr "provenance.recorded" tagged
           | None -> ()

@@ -317,14 +317,12 @@ let maintain_counting t old chgs (stratum : Analyzer.stratum) =
         tbl)
     dc
 
-(* --- semi-naive insertion propagation (shared by DRed phase C and the
-   bootstrap of recursive strata) ----------------------------------------- *)
+(* --- worklist propagation (the three DRed phases) ------------------------- *)
 
 (* Drain [work]: each popped (pred, row) is joined, at every positive body
-   position naming [pred], against the current database; [put] receives the
-   derived head rows (it filters duplicates and feeds the queue). *)
-let drain db lits_of work put =
-  let state _ p = rel db p in
+   position naming [pred], against [state]; [put] receives the derived head
+   rows (it filters what it has already seen and feeds the queue). *)
+let drain ~state lits_of work put =
   while not (Queue.is_empty work) do
     let p, row = Queue.pop work in
     List.iter
@@ -408,24 +406,7 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
         lits)
     lits_of;
   (* internal propagation of the overestimate, still over old state *)
-  while not (Queue.is_empty work) do
-    let p, row = Queue.pop work in
-    List.iter
-      (fun (r, lits) ->
-        List.iter
-          (fun x ->
-            match x.l with
-            | Ast.L_pos a when a.Ast.pred = p -> (
-                match match_args [] a.Ast.args row with
-                | None -> ()
-                | Some env0 ->
-                    let rest = List.filter (fun y -> y.li <> x.li) lits in
-                    eval_lits ~state:state_old rest env0 (fun env ->
-                        mark r.Ast.head_pred (head_row env r.Ast.head_args)))
-            | _ -> ())
-          lits)
-      lits_of
-  done;
+  drain ~state:state_old lits_of work mark;
 
   (* Phase B — physically remove the overestimate, then give back every
      tuple still derivable from what remains. One derivability check per
@@ -464,24 +445,7 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
   Hashtbl.iter
     (fun p d -> Rows.iter (fun row -> if derivable p row then restore p row) !d)
     del;
-  while not (Queue.is_empty rework) do
-    let p, row = Queue.pop rework in
-    List.iter
-      (fun ((r : Ast.rule), lits) ->
-        List.iter
-          (fun x ->
-            match x.l with
-            | Ast.L_pos a when a.Ast.pred = p -> (
-                match match_args [] a.Ast.args row with
-                | None -> ()
-                | Some env0 ->
-                    let rest = List.filter (fun y -> y.li <> x.li) lits in
-                    eval_lits ~state:state_new rest env0 (fun env ->
-                        restore r.Ast.head_pred (head_row env r.Ast.head_args)))
-            | _ -> ())
-          lits)
-      lits_of
-  done;
+  drain ~state:state_new lits_of rework restore;
 
   (* Phase C — semi-naive insertion propagation over new state. Seeds:
      external gains (inserted rows under positive literals, retracted rows
@@ -531,7 +495,7 @@ let maintain_dred t old chgs (stratum : Analyzer.stratum) =
           | Ast.L_pos _ -> ())
         lits)
     lits_of;
-  drain t.db lits_of iwork put;
+  drain ~state:state_new lits_of iwork put;
 
   (* net stratum change = diff against the pre-stratum snapshot *)
   List.iter
@@ -559,67 +523,90 @@ let zero_stats () =
     m_emitted_retracts = 0;
   }
 
-let create ?prov ~edb (program : Ast.program) =
+type snapshot = (string * Rows.t) list
+
+let snapshot rels =
+  List.map
+    (fun (name, rows) ->
+      (match rows with
+      | [] -> ()
+      | r0 :: _ ->
+          let arity = List.length r0 in
+          List.iter
+            (fun row ->
+              if List.length row <> arity then
+                invalid_arg (Printf.sprintf "ivm: rows of %s disagree on arity" name))
+            rows);
+      (name, Rows.of_list rows))
+    rels
+
+let idb_rows (program : Ast.program) relation_of =
+  List.map
+    (fun p ->
+      (p, List.map Array.to_list (Rs_relation.Relation.sorted_distinct_rows (relation_of p))))
+    (Analyzer.analyze program).Analyzer.idbs
+
+let check_arity an name row =
+  let arity = Analyzer.arity an name in
+  if List.length row <> arity then
+    invalid_arg (Printf.sprintf "ivm: %s expects arity %d" name arity)
+
+let create ?prov ~edb ~idb (program : Ast.program) =
   let an = Analyzer.analyze program in
   (match an.Analyzer.agg_sigs with
   | (p, _) :: _ ->
       raise (Unsupported (Printf.sprintf "ivm does not maintain aggregates (%s)" p))
   | [] -> ());
   let db : (string, Rows.t) Hashtbl.t = Hashtbl.create 16 in
+  (* EDBs are pointers into the shared snapshot: apply replaces this view's
+     table entries with new persistent sets and never touches the old ones *)
   List.iter
-    (fun (name, arity) ->
+    (fun name ->
       match List.assoc_opt name edb with
       | Some rows ->
-          List.iter
-            (fun row ->
-              if List.length row <> arity then
-                invalid_arg (Printf.sprintf "ivm: %s expects arity %d" name arity))
-            rows;
-          Hashtbl.replace db name (Rows.of_list rows)
-      | None ->
-          if List.mem name an.Analyzer.edbs then
-            invalid_arg (Printf.sprintf "ivm: no EDB named %s was supplied" name))
-    (List.filter (fun (n, _) -> List.mem n an.Analyzer.edbs) an.Analyzer.arities);
+          (* a snapshot relation is arity-uniform, so one row speaks for all *)
+          Option.iter (check_arity an name) (Rows.min_elt_opt rows);
+          set db name rows
+      | None -> invalid_arg (Printf.sprintf "ivm: no EDB named %s was supplied" name))
+    an.Analyzer.edbs;
+  List.iter
+    (fun name ->
+      match List.assoc_opt name idb with
+      | Some rows ->
+          List.iter (check_arity an name) rows;
+          set db name (Rows.of_list rows)
+      | None -> invalid_arg (Printf.sprintf "ivm: no IDB rows supplied for %s" name))
+    an.Analyzer.idbs;
   let t = { an; db; counts = Hashtbl.create 8; ms = zero_stats (); prov } in
   t.ms.m_applies <- 1;
-  (* Initial evaluation — NOT a delta apply: rules satisfied with no
-     positive support (empty bodies, negation over an empty relation) would
-     never be triggered by a delta, so each stratum gets one full pass.
-     Recursive strata then close semi-naively off that pass; counting
-     strata seed their derivation counts from the full enumeration. *)
+  (* Recursive strata keep sets only, so the supplied fixpoint is their
+     whole state. Counting strata enumerate each rule body once over it to
+     seed the derivation counts; the count table's keys are exactly the
+     rows the rules derive, so a supplied set that disagrees with them is
+     rejected rather than maintained from a wrong base. *)
   let state _ p = rel db p in
   List.iter
     (fun (s : Analyzer.stratum) ->
-      if s.Analyzer.recursive then begin
-        let lits_of = List.map (fun r -> (r, indexed_body r)) s.Analyzer.rules in
-        let work = Queue.create () in
-        let put p row =
-          if not (Rows.mem row (rel db p)) then begin
-            set db p (Rows.add row (rel db p));
-            Queue.add (p, row) work
-          end
-        in
-        List.iter
-          (fun ((r : Ast.rule), lits) ->
-            eval_lits ~state lits [] (fun env ->
-                put r.Ast.head_pred (head_row env r.Ast.head_args)))
-          lits_of;
-        drain db lits_of work put
-      end
-      else
+      if not s.Analyzer.recursive then begin
         List.iter
           (fun (r : Ast.rule) ->
-            let lits = indexed_body r in
-            let pred = r.Ast.head_pred in
-            let ct = counts_of t pred in
-            eval_lits ~state lits [] (fun env ->
+            let ct = counts_of t r.Ast.head_pred in
+            eval_lits ~state (indexed_body r) [] (fun env ->
                 let row = head_row env r.Ast.head_args in
                 t.ms.m_count_updates <- t.ms.m_count_updates + 1;
-                Hashtbl.replace ct row (1 + (try Hashtbl.find ct row with Not_found -> 0));
-                set db pred (Rows.add row (rel db pred))))
-          s.Analyzer.rules)
+                Hashtbl.replace ct row (1 + (try Hashtbl.find ct row with Not_found -> 0))))
+          s.Analyzer.rules;
+        List.iter
+          (fun pred ->
+            let ct = counts_of t pred and have = rel db pred in
+            if Hashtbl.length ct <> Rows.cardinal have || not (Rows.for_all (Hashtbl.mem ct) have)
+            then
+              invalid_arg
+                (Printf.sprintf "ivm: supplied rows of %s disagree with its rules" pred))
+          s.Analyzer.preds
+      end)
     an.Analyzer.strata;
-  (* Seed the tag store from the bootstrap evaluation: every maintained IDB
+  (* Seed the tag store from the installed fixpoint: every maintained IDB
      row starts explainable. *)
   (match prov with
   | None -> ()

@@ -25,11 +25,20 @@
       deletions against the old state, remove them, re-derive survivors
       from the remaining database, then propagate insertions semi-naively.
 
-    The initial evaluation is {e not} a special case of [apply]: rules
-    whose bodies hold with no positive support over the initial EDB (empty
-    bodies, negation over an empty relation) would never be triggered by a
-    delta, so {!create} evaluates the program to fixpoint stratum-by-
-    stratum and seeds the counts by full enumeration. *)
+    A view is {e seeded}, not evaluated: {!create} installs a fixpoint the
+    caller already has (the engine run that served the query) and does no
+    fixpoint iteration of its own. Recursive strata take the supplied rows
+    as their whole state. Counting strata enumerate each rule body once
+    over them, only to seed the derivation counts, and reject rows their
+    rules do not derive. Seeding is what makes rules whose bodies hold with
+    no positive support (empty bodies, negation over an empty relation)
+    safe: no delta would ever trigger them, but the supplied fixpoint
+    already contains their heads.
+
+    EDB relations come from a {!snapshot}, an immutable set per relation.
+    Many views may share one snapshot: {!apply} replaces a view's own
+    relation values with new persistent sets and never mutates a shared
+    one, so a delta folded into one view leaves its siblings' rows intact. *)
 
 exception Unsupported of string
 (** The program uses a feature maintenance does not cover (aggregates —
@@ -48,15 +57,38 @@ val supported : Ast.program -> bool
     no aggregates). Analysis errors are not masked — an ill-formed program
     still raises {!Analyzer.Analysis_error} at {!create}. *)
 
-val create : ?prov:Provenance.t -> edb:(string * int list list) list -> Ast.program -> t
-(** Evaluate the program to fixpoint over [edb] and return the maintained
-    view. Raises {!Unsupported} on aggregates, [Analyzer.Analysis_error] /
-    [Invalid_argument] on the same ill-formedness the interpreter rejects
-    (unknown EDB, arity mismatch). With [prov], every IDB row of the
-    bootstrap evaluation is tagged, and each {!apply} afterwards reconciles
-    the store against its net change (inserted rows tagged at the apply's
-    sequence point, retracted rows dropped) — so a maintained view stays
-    {!Explain}-able across EDB deltas. *)
+type snapshot
+(** One immutable EDB state (relation name to its rows), shareable by every
+    view built over the same database version. *)
+
+val snapshot : (string * int list list) list -> snapshot
+(** Build a snapshot. Raises [Invalid_argument] when the rows of one
+    relation disagree on arity. *)
+
+val idb_rows :
+  Ast.program -> (string -> Rs_relation.Relation.t) -> (string * int list list) list
+(** [idb_rows program relation_of] reads every IDB of [program] from an
+    evaluation's relation lookup, sorted and duplicate-free: the [~idb]
+    argument of {!create} for a view seeded from an engine run. *)
+
+val create :
+  ?prov:Provenance.t ->
+  edb:snapshot ->
+  idb:(string * int list list) list ->
+  Ast.program ->
+  t
+(** Seed the maintained view of [program] from the EDB snapshot [edb] and
+    the program's fixpoint over it, [idb] (every IDB predicate's rows). No
+    fixpoint is computed here; counting strata enumerate their rule bodies
+    once to seed derivation counts. Raises {!Unsupported} on aggregates,
+    [Analyzer.Analysis_error] on an ill-formed program, and
+    [Invalid_argument] when [edb] lacks an input, [idb] lacks a predicate,
+    a row's arity disagrees with the program, or a counting stratum's
+    enumeration disagrees with its supplied rows. With [prov], every IDB
+    row is tagged at iteration 0 of its stratum, and each {!apply}
+    afterwards reconciles the store against its net change (inserted rows
+    tagged at the apply's sequence point, retracted rows dropped) — so a
+    maintained view stays {!Explain}-able across EDB deltas. *)
 
 val apply : t -> Rs_relation.Delta.t -> Rs_relation.Delta.t
 (** [apply t d] folds a typed EDB delta into the view and returns the net
@@ -86,7 +118,7 @@ val outputs : t -> (string * int list list) list
     serving layer caches. *)
 
 type stats = {
-  applies : int;  (** {!apply} calls, including the {!create} bootstrap *)
+  applies : int;  (** {!apply} calls, plus one for the {!create} seeding *)
   count_updates : int;  (** signed derivation-count adjustments *)
   dred_deleted : int;  (** DRed overestimated deletions *)
   dred_rederived : int;  (** deletions taken back by re-derivation *)

@@ -26,17 +26,24 @@ let run ~pool ?deadline_vs ?trace ~edb program =
     ~queries:result.Interpreter.queries result.Interpreter.relation_of
 
 (* True IVM (counting + DRed over the semi-naive loop) where the maintenance
-   fragment allows; aggregates fall back to the generic recompute-and-diff
-   path — same contract, m_incremental = false. *)
+   fragment allows, seeded from this engine's own run; aggregates fall back
+   to the generic recompute-and-diff path — same contract,
+   m_incremental = false. *)
 let maintain ~pool ?trace ~edb program =
   let ivm =
     if Recstep.Ivm.supported program then
-      let rows =
-        List.map
-          (fun (n, r) -> (n, List.map Array.to_list (Rs_relation.Relation.to_rows r)))
-          edb
+      let result = run ~pool ?trace ~edb program in
+      let snapshot =
+        Recstep.Ivm.snapshot
+          (List.map
+             (fun (n, r) -> (n, List.map Array.to_list (Rs_relation.Relation.to_rows r)))
+             edb)
       in
-      match Recstep.Ivm.create ~edb:rows program with
+      match
+        Recstep.Ivm.create ~edb:snapshot
+          ~idb:(Recstep.Ivm.idb_rows program result.Engine_intf.relation_of)
+          program
+      with
       | ivm -> Some ivm
       | exception Recstep.Ivm.Unsupported _ -> None
     else None

@@ -2,6 +2,8 @@ module Ast = Recstep.Ast
 module Ivm = Recstep.Ivm
 module Naive = Recstep.Naive
 module Delta = Rs_relation.Delta
+module Relation = Rs_relation.Relation
+module Memtrack = Rs_storage.Memtrack
 module Rng = Rs_util.Rng
 module Json = Rs_obs.Json
 
@@ -82,14 +84,14 @@ let gen_delta rng arities mirror =
 
 let sorted rows = List.sort_uniq compare rows
 
-(* Diff the maintained state against a from-scratch naive recompute on the
-   mirrored EDB: every IDB, at one version. *)
-let check_version ~cseed ~version ivm mirror_rows program =
+(* Diff a state against a from-scratch naive recompute on the mirrored
+   EDB: every IDB, at one version. [got] reads the state's rows. *)
+let check_version ~cseed ~version got mirror_rows program =
   let idbs, rows_of = Naive.run ~edb:mirror_rows program in
   List.filter_map
     (fun pred ->
       let expect = sorted (rows_of pred) in
-      let got = sorted (Ivm.rows ivm pred) in
+      let got = sorted (got pred) in
       if expect = got then None
       else
         Some
@@ -101,6 +103,33 @@ let check_version ~cseed ~version ivm mirror_rows program =
             div_extra = List.filter (fun r -> not (List.mem r expect)) got;
           })
     idbs
+
+(* The fixpoint a view is seeded from, as the serving layer seeds it: one
+   Interpreter.run over the set-level EDB. The run's tracked bytes are
+   handed back, since nothing keeps its relations. *)
+let interpreter_fixpoint program edb =
+  let an = Recstep.Analyzer.analyze program in
+  let rels =
+    List.filter_map
+      (fun (n, rows) ->
+        if List.mem n an.Recstep.Analyzer.edbs then
+          Some
+            ( n,
+              Relation.of_rows ~name:n (Recstep.Analyzer.arity an n)
+                (List.map Array.of_list rows) )
+        else None)
+      edb
+  in
+  let live0 = Memtrack.live () in
+  Fun.protect
+    ~finally:(fun () ->
+      let grown = Memtrack.live () - live0 in
+      if grown > 0 then Memtrack.free grown)
+    (fun () ->
+      let pool = Rs_parallel.Pool.create ~workers:4 () in
+      Rs_parallel.Pool.begin_run pool;
+      let result = Recstep.Interpreter.run ~pool ~edb:rels program in
+      Ivm.idb_rows program result.Recstep.Interpreter.relation_of)
 
 let mirror_rows mirror arities =
   List.map
@@ -123,19 +152,40 @@ let run_case ~cseed ~deltas (case : Gen.case) =
       List.iter (fun row -> Hashtbl.replace tbl row ()) rows;
       Hashtbl.add mirror rel tbl)
     arities;
-  let ivm = Ivm.create ~edb:(mirror_rows mirror arities) program in
-  let rng = Rng.create (cseed lxor 0x5eed) in
-  let divs = ref (check_version ~cseed ~version:0 ivm (mirror_rows mirror arities) program) in
-  let ops = ref 0 in
-  let v = ref 0 in
-  while !v < deltas && !divs = [] do
-    incr v;
-    let d = gen_delta rng arities mirror in
-    ops := !ops + Delta.size d;
-    ignore (Ivm.apply ivm d);
-    divs := check_version ~cseed ~version:!v ivm (mirror_rows mirror arities) program
-  done;
-  (!v, !ops, !divs)
+  let edb0 = mirror_rows mirror arities in
+  let idb0 = interpreter_fixpoint program edb0 in
+  match Ivm.create ~edb:(Ivm.snapshot edb0) ~idb:idb0 program with
+  | exception Invalid_argument m ->
+      (* the interpreter's fixpoint disagrees with a counting stratum's
+         rules: the naive diff of that fixpoint names the predicate, and a
+         seed rejected with no naive diff is the view's own fault *)
+      let divs = check_version ~cseed ~version:0 (fun p -> List.assoc p idb0) edb0 program in
+      ( 0,
+        0,
+        if divs <> [] then divs
+        else
+          [
+            {
+              div_seed = cseed;
+              div_version = 0;
+              div_pred = "seed rejected: " ^ m;
+              div_missing = [];
+              div_extra = [];
+            };
+          ] )
+  | ivm ->
+      let rng = Rng.create (cseed lxor 0x5eed) in
+      let divs = ref (check_version ~cseed ~version:0 (Ivm.rows ivm) edb0 program) in
+      let ops = ref 0 in
+      let v = ref 0 in
+      while !v < deltas && !divs = [] do
+        incr v;
+        let d = gen_delta rng arities mirror in
+        ops := !ops + Delta.size d;
+        ignore (Ivm.apply ivm d);
+        divs := check_version ~cseed ~version:!v (Ivm.rows ivm) (mirror_rows mirror arities) program
+      done;
+      (!v, !ops, !divs)
 
 let case_seed ~seed i = (seed * 998_244_353) + i
 

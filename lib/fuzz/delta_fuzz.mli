@@ -5,7 +5,9 @@
     typed insert/retract deltas ({!Rs_relation.Delta.t}), applied through
     the counting/DRed IVM ({!Recstep.Ivm}), and at {e every} version the
     maintained IDB state is compared against a from-scratch naive recompute
-    on a set-level mirror of the EDB. The streams deliberately cover the
+    on a set-level mirror of the EDB. The view is seeded the way the
+    serving layer seeds it, from an interpreter run on the mirror, so
+    version 0 also diffs that run against the oracle. The streams deliberately cover the
     retraction edge cases: retracting absent rows, retract-then-reinsert of
     a held row within one delta, and deletions that empty a relation.
     Deterministic per seed — the CI smoke pins one. *)
@@ -30,6 +32,13 @@ type report = {
 val case_seed : seed:int -> int -> int
 (** The derived per-case seed (the {!Gen.gen_case} input) for iteration
     [i]. *)
+
+val interpreter_fixpoint :
+  Recstep.Ast.program -> (string * int list list) list -> (string * int list list) list
+(** [interpreter_fixpoint program edb] evaluates [program] once with
+    {!Recstep.Interpreter.run} over set-level EDB rows and returns every
+    IDB's rows — the [~idb] seed of {!Recstep.Ivm.create}. Bytes the run
+    accounts are released. Raises what the interpreter raises. *)
 
 val run_case :
   cseed:int -> deltas:int -> Gen.case -> int * int * divergence list

@@ -241,6 +241,69 @@ let run ?(config = config ()) ~edb:store events =
      the views absorb the net change and hand the result cache its entries'
      rows at the new version — warm refresh instead of cold invalidation. *)
   let views : (string * string, view) Hashtbl.t = Hashtbl.create 16 in
+  (* One EDB snapshot per database, valid for one version: every view built
+     on that version shares its persistent sets instead of copying the
+     store. A committed delta drops it; the next view build takes a fresh
+     one. *)
+  let snapshots : (string, int * Ivm.snapshot) Hashtbl.t = Hashtbl.create 4 in
+  let snapshot_of edb ~version rels =
+    match Hashtbl.find_opt snapshots edb with
+    | Some (v, s) when v = version -> s
+    | _ ->
+        let s =
+          Ivm.snapshot
+            (List.map (fun (n, r) -> (n, List.map Array.to_list (Relation.to_rows r))) rels)
+        in
+        Hashtbl.replace snapshots edb (version, s);
+        s
+  in
+  (* Materializing a served result and seeding its view are bookkeeping
+     around a finished query: they run off the query budget, and whatever
+     an engine's relation_of accounts for a fresh relation (graspan's does)
+     is handed back, so the tracker ends at the query's own baseline. *)
+  let off_tracker f =
+    let saved = Memtrack.budget () and live0 = Memtrack.live () in
+    Memtrack.set_budget None;
+    Fun.protect
+      ~finally:(fun () ->
+        Memtrack.set_budget saved;
+        let grown = Memtrack.live () - live0 in
+        if grown > 0 then Memtrack.free grown)
+      f
+  in
+  (* Register the incremental twin of a cached result, seeded from what the
+     service already holds: the served fixpoint for the IDBs (the output
+     rows just materialized, the rest through relation_of) and the shared
+     snapshot for the EDBs. A seed the view rejects, or a lookup that
+     fails, leaves the entry without a view — it is served and cached all
+     the same, and the next delta invalidates it instead of refreshing. *)
+  let build_view sub ~canonical ~version rels (result : Engine_intf.run_result) rows =
+    let an = Recstep.Analyzer.analyze sub.program in
+    match
+      let idb =
+        List.map
+          (fun p ->
+            ( p,
+              List.map Array.to_list
+                (match List.assoc_opt p rows with
+                | Some r -> r
+                | None -> Relation.sorted_distinct_rows (result.Engine_intf.relation_of p)) ))
+          an.Recstep.Analyzer.idbs
+      in
+      Ivm.create ~prov:(Provenance.create ())
+        ~edb:(snapshot_of sub.edb ~version rels)
+        ~idb sub.program
+    with
+    | ivm ->
+        Hashtbl.replace views (sub.edb, canonical)
+          {
+            v_ivm = ivm;
+            v_edbs = an.Recstep.Analyzer.edbs;
+            v_outputs = output_names sub.program;
+          };
+        bump "view_built" 1
+    | exception _ -> Trace.event trace ~kind:"service" "view_seed_rejected" []
+  in
   let sched = Scheduler.create ~seed:config.seed in
   let completions = ref [] in
   (* auto ids in event order, before time-sorting *)
@@ -325,6 +388,7 @@ let run ?(config = config ()) ~edb:store events =
             bump "delta_noop" 1
         | Ok (version, net) ->
             bump "delta_applied" 1;
+            Hashtbl.remove snapshots edb;
             if config.ivm && Delta.size net <= config.ivm_max_delta then begin
               (* warm path: fold the net change into every view of this
                  database, then re-key its cache entries to [version]. A
@@ -657,10 +721,11 @@ let run ?(config = config ()) ~edb:store events =
                 match res with
                 | Engine_intf.Done result ->
                     let rows =
-                      List.map
-                        (fun n ->
-                          (n, Relation.sorted_distinct_rows (result.Engine_intf.relation_of n)))
-                        (output_names sub.program)
+                      off_tracker (fun () ->
+                          List.map
+                            (fun n ->
+                              (n, Relation.sorted_distinct_rows (result.Engine_intf.relation_of n)))
+                            (output_names sub.program))
                     in
                     (* a result that lands after its deadline, or from a
                        degraded rung, is returned to the client but must not
@@ -672,33 +737,13 @@ let run ?(config = config ()) ~edb:store events =
                     in
                     Result_cache.add cache key rows ~canonical ~stale
                       ~degraded:(degraded <> None);
-                    (* register the incremental twin for whatever entered
-                       the cache: a full-confidence result of a maintainable
-                       program gets a view that will track future deltas *)
+                    (* a full-confidence result of a maintainable program
+                       gets a view that will track future deltas *)
                     if
                       config.ivm && (not stale) && degraded = None
                       && (not (Hashtbl.mem views (sub.edb, canonical)))
                       && Ivm.supported sub.program
-                    then begin
-                      let edb_rows =
-                        List.map
-                          (fun (n, r) ->
-                            (n, List.map Array.to_list (Relation.to_rows r)))
-                          rels
-                      in
-                      match Ivm.create ~prov:(Provenance.create ()) ~edb:edb_rows sub.program with
-                      | ivm ->
-                          Hashtbl.replace views (sub.edb, canonical)
-                            {
-                              v_ivm = ivm;
-                              v_edbs =
-                                (Recstep.Analyzer.analyze sub.program)
-                                  .Recstep.Analyzer.edbs;
-                              v_outputs = output_names sub.program;
-                            };
-                          bump "view_built" 1
-                      | exception Ivm.Unsupported _ -> ()
-                    end;
+                    then off_tracker (fun () -> build_view sub ~canonical ~version rels result rows);
                     Done rows
                 | Engine_intf.Oom -> Oom
                 | Engine_intf.Timeout -> Timeout

@@ -179,7 +179,12 @@ let test_delta_corpus () =
             (rel, List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) tbl [])))
           edb
       in
-      let ivm = Recstep.Ivm.create ~edb:(mirror_rows ()) program in
+      let edb0 = mirror_rows () in
+      let ivm =
+        Recstep.Ivm.create ~edb:(Recstep.Ivm.snapshot edb0)
+          ~idb:(Delta_fuzz.interpreter_fixpoint program edb0)
+          program
+      in
       List.iteri
         (fun v ops ->
           let d =

@@ -1,7 +1,8 @@
 (* Incremental view maintenance vs the naive oracle, plus the retraction
    edge cases: retracting what was never inserted, retract-then-reinsert
    inside one delta, emptying a relation, and the count-underflow
-   invariant. Every differential check recomputes from scratch with
+   invariant. Views are seeded from an interpreter run, as the serving
+   layer seeds them; every differential check recomputes from scratch with
    Naive.run on a mirrored EDB — the same oracle rs_fuzz trusts. *)
 
 module Ast = Recstep.Ast
@@ -38,12 +39,22 @@ let mirror_apply edb (d : Delta.t) =
 
 let sorted rows = List.sort_uniq compare rows
 
+(* A view over [edb], seeded from one interpreter run on it unless the
+   fixpoint [idb] is given. *)
+let seed ?prov ?idb edb program =
+  let idb =
+    match idb with
+    | Some idb -> idb
+    | None -> Rs_fuzz.Delta_fuzz.interpreter_fixpoint program edb
+  in
+  Ivm.create ?prov ~edb:(Ivm.snapshot edb) ~idb program
+
 (* Apply [deltas] one at a time; after every version check each IDB against
    a from-scratch naive recompute, and check the emitted delta nets to the
    observed output diff. *)
-let run_sequence program_src edb deltas =
+let run_sequence ?idb program_src edb deltas =
   let program = Parser.parse program_src in
-  let v = Ivm.create ~edb program in
+  let v = seed ?idb edb program in
   let naive_rows edb' =
     let _, lookup = Naive.run ~edb:edb' program in
     lookup
@@ -170,8 +181,10 @@ let test_negation_flip () =
 
 let test_empty_support_bootstrap () =
   (* p(1) :- !q(1). with q empty: no delta ever references q at bootstrap,
-     so only a full initial evaluation can derive p(1) *)
-  let v = run_sequence empty_support_src [ ("q", []) ]
+     so only the seeded fixpoint carries p(1). The interpreter's planner
+     needs a positive atom, so the seed is written out here; the counting
+     stratum's enumeration checks it. *)
+  let v = run_sequence ~idb:[ ("p", [ [ 1 ] ]) ] empty_support_src [ ("q", []) ]
       [ Delta.of_inserts "q" [ [| 1 |] ]; Delta.of_retracts "q" [ [| 1 |] ] ]
   in
   check "p(1) back after q emptied again" true (Ivm.rows v "p" = [ [ 1 ] ])
@@ -181,7 +194,7 @@ let test_empty_support_bootstrap () =
 let test_retract_never_inserted () =
   let edb = [ ("e", [ [ 1; 2 ]; [ 2; 3 ] ]) ] in
   let program = Parser.parse join_src in
-  let v = Ivm.create ~edb program in
+  let v = seed edb program in
   let before = Ivm.rows v "two" in
   (* over-retraction is a counted no-op, not an underflow *)
   let out = Ivm.apply v (Delta.of_retracts "e" [ [| 9; 9 |]; [| 9; 9 |] ]) in
@@ -191,7 +204,7 @@ let test_retract_never_inserted () =
 let test_retract_then_reinsert_one_delta () =
   let edb = [ ("e", [ [ 1; 2 ]; [ 2; 3 ] ]) ] in
   let program = Parser.parse join_src in
-  let v = Ivm.create ~edb program in
+  let v = seed edb program in
   let d =
     Delta.merge
       (Delta.of_retracts "e" [ [| 1; 2 |] ])
@@ -232,7 +245,7 @@ let test_no_underflow_under_churn () =
 
 let test_apply_rejects_bad_input () =
   let edb = [ ("e", [ [ 1; 2 ] ]) ] in
-  let v = Ivm.create ~edb (Parser.parse join_src) in
+  let v = seed edb (Parser.parse join_src) in
   let raises f =
     match f () with
     | _ -> false
@@ -244,6 +257,72 @@ let test_apply_rejects_bad_input () =
     (raises (fun () -> Ivm.apply v (Delta.of_inserts "nope" [ [| 1 |] ])));
   check "arity mismatch rejected" true
     (raises (fun () -> Ivm.apply v (Delta.of_inserts "e" [ [| 1 |] ])))
+
+(* The seed is checked where it can be without evaluating: every IDB must
+   be supplied with the program's arity, and a counting stratum's rows
+   must be exactly what one enumeration of its rule bodies derives. *)
+let test_create_rejects_bad_seed () =
+  let edb = Ivm.snapshot [ ("e", [ [ 1; 2 ]; [ 2; 3 ] ]) ] in
+  let program = Parser.parse join_src in
+  let rejects idb =
+    match Ivm.create ~edb ~idb program with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check "good seed accepted" false (rejects [ ("two", [ [ 1; 3 ] ]) ]);
+  check "missing predicate" true (rejects []);
+  check "wrong arity" true (rejects [ ("two", [ [ 1; 3; 5 ] ]) ]);
+  check "row the rules do not derive" true (rejects [ ("two", [ [ 1; 3 ]; [ 2; 2 ] ]) ]);
+  check "derived row missing" true (rejects [ ("two", []) ]);
+  check "EDB arity checked against the program" true
+    (match
+       Ivm.create ~edb:(Ivm.snapshot [ ("e", [ [ 1 ] ]) ]) ~idb:[ ("two", []) ] program
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check "ragged snapshot" true
+    (match Ivm.snapshot [ ("e", [ [ 1; 2 ]; [ 3 ] ]) ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* A recursive stratum takes the supplied fixpoint as its state, with no
+   evaluation: the seeded rows are the view's rows, and the view then
+   maintains from them. *)
+let test_recursive_seed_installed () =
+  let edb = [ ("arc", [ [ 1; 2 ]; [ 2; 3 ] ]) ] in
+  let program = Parser.parse tc_src in
+  let v =
+    Ivm.create ~edb:(Ivm.snapshot edb) ~idb:[ ("tc", [ [ 2; 3 ]; [ 1; 2 ]; [ 1; 3 ] ]) ] program
+  in
+  check "seed installed sorted" true (Ivm.rows v "tc" = [ [ 1; 2 ]; [ 1; 3 ]; [ 2; 3 ] ]);
+  Alcotest.(check int) "no derivation counted" 0 (Ivm.stats v).Ivm.count_updates;
+  ignore (Ivm.apply v (Delta.of_inserts "arc" [ [| 3; 4 |] ]));
+  check "maintained from the seed" true
+    (Ivm.rows v "tc" = [ [ 1; 2 ]; [ 1; 3 ]; [ 1; 4 ]; [ 2; 3 ]; [ 2; 4 ]; [ 3; 4 ] ])
+
+(* Views built on one snapshot share its sets; a delta folded into one
+   view must leave every sibling's EDB and IDB rows as they were. *)
+let test_shared_snapshot () =
+  let rows = [ [ 1; 2 ]; [ 2; 3 ]; [ 3; 4 ] ] in
+  let edb = Ivm.snapshot [ ("arc", rows) ] in
+  let tc = Parser.parse tc_src
+  and two = Parser.parse ".input arc\n.output two\ntwo(x, z) :- arc(x, y), arc(y, z).\n" in
+  let fix program = Rs_fuzz.Delta_fuzz.interpreter_fixpoint program [ ("arc", rows) ] in
+  let a = Ivm.create ~edb ~idb:(fix tc) tc in
+  let b = Ivm.create ~edb ~idb:(fix two) two in
+  let c = Ivm.create ~edb ~idb:(fix tc) tc in
+  let b_two = Ivm.rows b "two" and c_tc = Ivm.rows c "tc" in
+  ignore
+    (Ivm.apply a
+       (Delta.merge (Delta.of_inserts "arc" [ [| 4; 5 |] ]) (Delta.of_retracts "arc" [ [| 1; 2 |] ])));
+  check "the applied view moved" true (Ivm.rows a "arc" = [ [ 2; 3 ]; [ 3; 4 ]; [ 4; 5 ] ]);
+  check "sibling on another program keeps its EDB" true (Ivm.rows b "arc" = rows);
+  check "sibling on the same program keeps its EDB" true (Ivm.rows c "arc" = rows);
+  check "sibling IDBs untouched" true (Ivm.rows b "two" = b_two && Ivm.rows c "tc" = c_tc);
+  (* and the siblings still maintain correctly from the shared base *)
+  ignore (Ivm.apply b (Delta.of_inserts "arc" [ [| 4; 5 |] ]));
+  check "sibling maintains from the snapshot" true
+    (Ivm.rows b "two" = [ [ 1; 3 ]; [ 2; 4 ]; [ 3; 5 ] ])
 
 let test_supported () =
   check "plain program supported" true (Ivm.supported (Parser.parse tc_src));
@@ -262,7 +341,7 @@ let test_provenance_maintained () =
   let module Prov = Recstep.Provenance in
   let prov = Prov.create () in
   let edb = [ ("arc", [ [ 1; 2 ]; [ 2; 3 ]; [ 1; 3 ] ]) ] in
-  let v = Ivm.create ~prov ~edb (Parser.parse tc_src) in
+  let v = seed ~prov edb (Parser.parse tc_src) in
   check "store attached" true
     (match Ivm.provenance v with Some p -> p == prov | None -> false);
   let assert_cov what =
@@ -325,6 +404,9 @@ let suite =
     Alcotest.test_case "retraction empties relation" `Quick test_retraction_empties_relation;
     Alcotest.test_case "no underflow under churn" `Quick test_no_underflow_under_churn;
     Alcotest.test_case "apply rejects bad input" `Quick test_apply_rejects_bad_input;
+    Alcotest.test_case "create rejects a bad seed" `Quick test_create_rejects_bad_seed;
+    Alcotest.test_case "recursive seed installed as is" `Quick test_recursive_seed_installed;
+    Alcotest.test_case "views share one snapshot" `Quick test_shared_snapshot;
     Alcotest.test_case "supported" `Quick test_supported;
     Alcotest.test_case "provenance maintained across apply" `Quick
       test_provenance_maintained;

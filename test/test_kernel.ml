@@ -429,7 +429,7 @@ let test_sizing_rehash_fault_served () =
     in
     let report =
       Inject.with_plan (Fault.plan_of_string ~seed:7 plan) (fun () ->
-          Service.run ~config:(Service.config ~workers:4 ~seed:1 ~ivm:false ()) ~edb:store [ sub ])
+          Service.run ~config:(Service.config ~workers:4 ~seed:1 ()) ~edb:store [ sub ])
     in
     Alcotest.(check int) "live bytes back to baseline" baseline (Memtrack.live ());
     List.hd report.Service.completions

@@ -627,6 +627,107 @@ let test_service_explain_after_delta () =
       Alcotest.(check bool) "chain names rules" true (x.Service.x_rules <> [])
   | xs -> Alcotest.fail (Printf.sprintf "expected 1 explanation, got %d" (List.length xs))
 
+(* --- views seeded from the served result --- *)
+
+(* A served result whose counting stratum disagrees with its own rules
+   (a silent dedup drop lost every twohop row) is still served and cached,
+   but gets no view: the seed is rejected inside the service, never
+   raised to the tenant. *)
+let test_service_seed_rejected () =
+  let module Fault = Rs_chaos.Fault in
+  let module Inject = Rs_chaos.Inject in
+  let twohop =
+    Recstep.Programs.parsed ".input arc\n.output twohop\ntwohop(x, y) :- arc(x, z), arc(z, y).\n"
+  in
+  let r =
+    Inject.with_plan (Fault.plan_of_string ~seed:1 "dedup_drop:p=1") (fun () ->
+        Service.run ~edb:(store ())
+          [ Service.Submit (Service.submission ~tenant:"t" ~edb:"g" twohop) ])
+  in
+  check_identities r;
+  Alcotest.(check int) "served" 1 (Service.counter r "done");
+  Alcotest.(check int) "no view from a rejected seed" 0 (Service.counter r "view_built");
+  Alcotest.(check bool) "the rejection is on the trace" true
+    (List.exists
+       (fun (e : Rs_obs.Trace.event) -> e.Rs_obs.Trace.ev_name = "view_seed_rejected")
+       (Rs_obs.Trace.events r.Service.trace));
+  (* without the fault the same query does get its view *)
+  let clean =
+    Service.run ~edb:(store ()) [ Service.Submit (Service.submission ~tenant:"t" ~edb:"g" twohop) ]
+  in
+  Alcotest.(check int) "clean run builds the view" 1 (Service.counter clean "view_built")
+
+(* Building a view is off the tracker: after a served query that builds
+   one, live bytes are back at the pre-query baseline — also through an
+   engine whose relation_of allocates and accounts a fresh relation for
+   every lookup, including the non-output IDB the seed reads. *)
+let test_service_view_memory_baseline () =
+  let module Memtrack = Rs_storage.Memtrack in
+  let hidden =
+    Recstep.Programs.parsed
+      ".input arc\n.output out\ntc(x, y) :- arc(x, y).\ntc(x, y) :- tc(x, z), arc(z, y).\nout(x, y) :- tc(x, y).\n"
+  in
+  List.iter
+    (fun engine ->
+      Memtrack.hard_reset ();
+      let s = store () in
+      let baseline = Memtrack.live () in
+      let r =
+        Service.run ~edb:s [ Service.Submit (Service.submission ?engine ~tenant:"t" ~edb:"g" hidden) ]
+      in
+      let name = Option.value ~default:"RecStep" engine in
+      Alcotest.(check int) (name ^ ": served") 1 (Service.counter r "done");
+      Alcotest.(check int) (name ^ ": view built") 1 (Service.counter r "view_built");
+      Alcotest.(check int) (name ^ ": live back at baseline") baseline (Memtrack.live ()))
+    [ None; Some "Graspan-like" ]
+
+(* Explain text from a seeded view is frozen: row tags are the stratum at
+   iteration 0 in sorted order, so the rendering matches the one from
+   views that evaluated their own fixpoint byte for byte. *)
+let test_service_explain_seeded_text () =
+  let text events =
+    List.map (fun x -> x.Service.x_text) (Service.run ~edb:(store ()) events).Service.explanations
+  in
+  Alcotest.(check (list string))
+    "warm explain"
+    [
+      "tc(0, 3) @s0/i0/#4 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \  tc(0, 2) @s0/i0/#3 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \    tc(0, 1) @s0/i0/#2 <= rule 1: tc(x, y) :- arc(x, y).\n\
+      \      arc(0, 1) [edb]\n\
+      \    arc(1, 2) [edb]\n\
+      \  arc(2, 3) [edb]\n";
+      "tc(0, 99) is not in the database\n";
+    ]
+    (text
+       [
+         Service.Submit (Service.submission ~at:0.0 ~tenant:"t" ~edb:"g" tc);
+         Service.explain_event ~at:100.0 ~tenant:"t" ~edb:"g" ~pred:"tc" ~row:[ 0; 3 ] tc;
+         Service.explain_event ~at:100.0 ~tenant:"t" ~edb:"g" ~pred:"tc" ~row:[ 0; 99 ] tc;
+       ]);
+  Alcotest.(check (list string))
+    "explain across a delta"
+    [
+      "tc(0, 6) @s0/i2/#37 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \  tc(0, 5) @s0/i0/#6 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \    tc(0, 4) @s0/i0/#5 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \      tc(0, 3) @s0/i0/#4 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \        tc(0, 2) @s0/i0/#3 <= rule 2: tc(x, y) :- tc(x, z), arc(z, y).\n\
+      \          tc(0, 1) @s0/i0/#2 <= rule 1: tc(x, y) :- arc(x, y).\n\
+      \            arc(0, 1) [edb]\n\
+      \          arc(1, 2) [edb]\n\
+      \        arc(2, 3) [edb]\n\
+      \      arc(3, 4) [edb]\n\
+      \    arc(4, 5) [edb]\n\
+      \  arc(5, 6) [edb]\n";
+    ]
+    (text
+       [
+         Service.Submit (Service.submission ~at:0.0 ~tenant:"t" ~edb:"g" tc);
+         Service.delta_event ~at:50.0 ~edb:"g" (Delta.of_inserts "arc" [ [| 5; 6 |] ]);
+         Service.explain_event ~at:100.0 ~tenant:"t" ~edb:"g" ~pred:"tc" ~row:[ 0; 6 ] tc;
+       ])
+
 let suite =
   [
     Alcotest.test_case "program key canonicalization" `Quick test_program_key;
@@ -657,4 +758,9 @@ let suite =
     Alcotest.test_case "explain cold + aggregate + unknown edb" `Quick
       test_service_explain_cold_and_aggregate;
     Alcotest.test_case "explain across a delta" `Quick test_service_explain_after_delta;
+    Alcotest.test_case "rejected view seed still serves" `Quick test_service_seed_rejected;
+    Alcotest.test_case "view build leaves live bytes at baseline" `Quick
+      test_service_view_memory_baseline;
+    Alcotest.test_case "explain text from a seeded view is frozen" `Quick
+      test_service_explain_seeded_text;
   ]
